@@ -48,7 +48,7 @@
 //!      "p50_us": 23.4, "p99_us": 387.0, "p999_us": 900.5,
 //!      "served": 12000, "overloaded": 0, "deadline_expired": 0,
 //!      "retries": 0, "max_queue_depth": 12, "mean_batch": 1.03,
-//!      "mismatches": 0, "errors": 0}
+//!      "queue_wait_mean_us": 6.1, "mismatches": 0, "errors": 0}
 //!   ],
 //!   "overload": {"offered_rps": 60000.0, "queue_cap": 16, "linger_us": 2000,
 //!                "requests": 8000, "served": 992, "overloaded": 7008,
@@ -90,7 +90,7 @@ use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_engine::{Backend, ClassifierEngine};
 use poetbin_serve::{
     load_engine_with, Client, ClientSender, ModelRegistry, Response, RetryPolicy, ServeConfig,
-    Server,
+    Server, ServerStats,
 };
 
 struct Args {
@@ -257,6 +257,8 @@ struct RunResult {
     /// Highest total queue depth any sample saw during the run.
     max_queue_depth: usize,
     mean_batch: f64,
+    /// The server's own mean queue wait (decode → worker drain), µs.
+    queue_wait_mean_us: f64,
     served: u64,
 }
 
@@ -266,6 +268,11 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
     }
     let rank = (p * (sorted_ns.len() - 1) as f64).round() as usize;
     sorted_ns[rank] as f64 / 1_000.0
+}
+
+/// Mean decode → drain wait over every request the server drained.
+fn queue_wait_mean_us(stats: &ServerStats) -> f64 {
+    stats.queue_wait_us_sum() as f64 / stats.queue_wait_count().max(1) as f64
 }
 
 fn build_config(args: &Args, linger_us: u64) -> ServeConfig {
@@ -351,6 +358,7 @@ fn run_closed(
     let wall = start.elapsed();
     let stats = server.stats();
     let (mean_batch, served) = (stats.mean_batch(), stats.served());
+    let queue_wait_mean_us = queue_wait_mean_us(stats);
     server.shutdown();
     all_latencies.sort_unstable();
     RunResult {
@@ -363,6 +371,7 @@ fn run_closed(
         retries,
         max_queue_depth: 0,
         mean_batch,
+        queue_wait_mean_us,
         served,
     }
 }
@@ -583,6 +592,7 @@ fn run_open(
     let wall = epoch.elapsed();
     let stats = server.stats();
     let (mean_batch, served) = (stats.mean_batch(), stats.served());
+    let queue_wait_mean_us = queue_wait_mean_us(stats);
     server.shutdown();
     all_latencies.sort_unstable();
     RunResult {
@@ -595,13 +605,14 @@ fn run_open(
         retries,
         max_queue_depth: max_depth.load(Ordering::Relaxed),
         mean_batch,
+        queue_wait_mean_us,
         served,
     }
 }
 
 fn print_header() {
     println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>11} {:>9}",
+        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9}",
         "rate",
         "req/s",
         "p50_us",
@@ -612,6 +623,7 @@ fn print_header() {
         "expired",
         "retries",
         "mean_batch",
+        "qwait_us",
         "errors"
     );
 }
@@ -619,7 +631,7 @@ fn print_header() {
 fn print_row(label: &str, result: &RunResult) {
     let rps = result.latencies_ns.len() as f64 / result.wall.as_secs_f64();
     println!(
-        "{label:>10} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8} {:>8} {:>8} {:>11.2} {:>9}",
+        "{label:>10} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8} {:>8} {:>8} {:>11.2} {:>9.1} {:>9}",
         rps,
         percentile(&result.latencies_ns, 0.50),
         percentile(&result.latencies_ns, 0.99),
@@ -629,6 +641,7 @@ fn print_row(label: &str, result: &RunResult) {
         result.deadline_expired,
         result.retries,
         result.mean_batch,
+        result.queue_wait_mean_us,
         result.mismatches + result.errors
     );
 }
@@ -660,6 +673,7 @@ fn sweep_entry(offered_rps: f64, result: &RunResult) -> Json {
         ("retries", Json::Int(result.retries as i64)),
         ("max_queue_depth", Json::Int(result.max_queue_depth as i64)),
         ("mean_batch", Json::Float(result.mean_batch)),
+        ("queue_wait_mean_us", Json::Float(result.queue_wait_mean_us)),
         ("mismatches", Json::Int(result.mismatches as i64)),
         ("errors", Json::Int(result.errors as i64)),
     ])

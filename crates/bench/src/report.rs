@@ -15,8 +15,8 @@
 //! }
 //! ```
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -51,15 +51,50 @@ pub fn render_json(bench: &str, entries: &[(String, Duration)]) -> String {
     out
 }
 
-/// Writes `BENCH_<bench>.json` at the repository root, returning the path.
+/// Whether the manifest text opens a `[workspace]` table.
+fn declares_workspace(manifest: &str) -> bool {
+    manifest.lines().any(|line| line.trim() == "[workspace]")
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` declares
+/// a workspace, or `None` when no ancestor does.
+fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|m| declares_workspace(&m))
+        })
+        .map(Path::to_path_buf)
+}
+
+/// The workspace root the `BENCH_*.json` artifacts belong in, resolved at
+/// run time from the current directory (`cargo run` keeps the caller's
+/// directory; `cargo bench` runs in the package directory, one level
+/// below a workspace member's root). A binary copied to or built in
+/// another tree therefore writes into the tree it runs in.
 ///
 /// # Errors
 ///
-/// Propagates file-creation and write failures.
-pub fn write_repo_root(bench: &str, entries: &[(String, Duration)]) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{bench}.json"));
+/// `NotFound` when no ancestor of the current directory holds a
+/// workspace manifest.
+pub fn workspace_root() -> io::Result<PathBuf> {
+    let cwd = std::env::current_dir()?;
+    find_workspace_root(&cwd).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no Cargo workspace manifest at or above {}", cwd.display()),
+        )
+    })
+}
+
+/// Writes `BENCH_<bench>.json` at the workspace root (see
+/// [`workspace_root`]), returning the path.
+///
+/// # Errors
+///
+/// Propagates root-resolution, file-creation and write failures.
+pub fn write_repo_root(bench: &str, entries: &[(String, Duration)]) -> io::Result<PathBuf> {
+    let path = workspace_root()?.join(format!("BENCH_{bench}.json"));
     let mut file = std::fs::File::create(&path)?;
     file.write_all(render_json(bench, entries).as_bytes())?;
     Ok(path)
@@ -164,15 +199,13 @@ impl Json {
 }
 
 /// Writes an arbitrary [`Json`] document to `BENCH_<name>.json` at the
-/// repository root, returning the path.
+/// workspace root (see [`workspace_root`]), returning the path.
 ///
 /// # Errors
 ///
-/// Propagates file-creation and write failures.
-pub fn write_named_root(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"));
+/// Propagates root-resolution, file-creation and write failures.
+pub fn write_named_root(name: &str, doc: &Json) -> io::Result<PathBuf> {
+    let path = workspace_root()?.join(format!("BENCH_{name}.json"));
     let mut file = std::fs::File::create(&path)?;
     file.write_all(doc.render().as_bytes())?;
     Ok(path)
@@ -240,6 +273,48 @@ mod tests {
             let back: f64 = s.trim().parse().unwrap();
             assert_eq!(back, v, "render {s}");
         }
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_ancestor_declaring_a_workspace() {
+        let tmp = std::env::temp_dir().join(format!("poetbin-ws-root-{}", std::process::id()));
+        let member = tmp.join("ws/crates/member/src");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(
+            tmp.join("ws/Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/member\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            tmp.join("ws/crates/member/Cargo.toml"),
+            "[package]\nname = \"member\"\n",
+        )
+        .unwrap();
+        let ws = tmp.join("ws");
+        // From the root itself, a member package and a directory inside it.
+        assert_eq!(find_workspace_root(&ws), Some(ws.clone()));
+        assert_eq!(
+            find_workspace_root(&ws.join("crates/member")),
+            Some(ws.clone())
+        );
+        assert_eq!(find_workspace_root(&member), Some(ws.clone()));
+        // A package manifest alone is not a root: without the workspace
+        // manifest the walk goes past the member instead of stopping there.
+        std::fs::remove_file(tmp.join("ws/Cargo.toml")).unwrap();
+        let found = find_workspace_root(&member);
+        assert!(
+            found.as_deref().is_none_or(|root| !root.starts_with(&ws)),
+            "resolved {found:?} inside a tree with no workspace manifest"
+        );
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn workspace_root_of_this_checkout_holds_the_root_manifest() {
+        let root = workspace_root().expect("tests run inside the workspace");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        assert!(declares_workspace(&manifest));
+        assert!(root.join("crates/bench").is_dir());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(crate) struct Pending {
     /// The decoded feature row.
     pub row: BitVec,
     /// When the event loop decoded the request — the anchor for the
-    /// deadline-aware linger.
+    /// deadline-aware linger, the deadline, and the queue-wait stats.
     pub arrived: Instant,
 }
 
@@ -38,16 +38,21 @@ struct ShardState {
     open: bool,
 }
 
-/// One worker's bounded pending queue with deadline-aware adaptive
+/// One worker's bounded pending queue with work-conserving, adaptive
 /// draining.
 ///
-/// The linger in [`Shard::pop_batch`] is anchored to the **oldest queued
+/// With a zero linger (the server default) [`Shard::pop_batch`] never
+/// waits once a request is queued: a worker that finds one request serves
+/// it alone at once, and a worker returning from a tape pass drains the
+/// whole backlog that queued meanwhile (up to `max_batch`) as one batch.
+/// Batch size thus follows the load without holding anyone back.
+///
+/// An opt-in positive linger is anchored to the **oldest queued
 /// request's arrival time**, not to the moment the worker woke: a worker
 /// that was busy evaluating the previous batch has already "spent" its
 /// linger and serves the backlog immediately, while a lone request on an
-/// idle worker waits out the full window for lane-mates. No request is
-/// ever held in the queue longer than the linger bound by batching
-/// alone.
+/// idle worker waits out the window for lane-mates. No request is ever
+/// held in the queue longer than the linger bound by batching alone.
 pub(crate) struct Shard {
     state: Mutex<ShardState>,
     arrived: Condvar,
@@ -100,8 +105,9 @@ impl Shard {
     /// only once the shard is closed *and* empty.
     ///
     /// The first request is waited for indefinitely; once one is in hand
-    /// the worker lingers only until `oldest.arrived + linger` for the
-    /// block to fill before serving a partial batch.
+    /// a zero `linger` drains at once, and a positive one waits only until
+    /// `oldest.arrived + linger` for the block to fill before serving a
+    /// partial batch.
     ///
     /// With a per-request `deadline`, drained requests that have already
     /// aged past `arrived + deadline` are diverted into `expired`

@@ -14,10 +14,14 @@
 //! `--addr` defaults to `127.0.0.1:9009`; a bare positional address after
 //! the first model is still accepted for compatibility. `--features`
 //! applies to every model (each model's own minimum width is used when
-//! absent). `--queue-cap` bounds each worker's pending queue (full ⇒
-//! requests are shed with `STATUS_OVERLOADED`); `--stats-addr` pins the
-//! plain-text stats/health listener (an ephemeral port on the data
-//! address otherwise — the chosen port is printed at startup).
+//! absent). Batching is work-conserving by default: a worker serves
+//! whatever is queued the moment it is free; `--linger-us` opts into
+//! holding a partial batch up to that long for stragglers, trading p50
+//! latency for fewer tape passes. `--queue-cap` bounds each worker's
+//! pending queue (full ⇒ requests are shed with `STATUS_OVERLOADED`);
+//! `--stats-addr` pins the plain-text stats/health listener (an
+//! ephemeral port on the data address otherwise — the chosen port is
+//! printed at startup).
 //! `--backend` selects the tape execution backend for every model:
 //! `auto` (default) runs the in-process JIT where available and falls
 //! back to the interpreter, `jit`/`interp` pin one (a pinned `jit` still

@@ -143,6 +143,8 @@ pub(crate) struct EventLoopParts {
     pub completions: mpsc::Receiver<Completion>,
     pub stopping: Arc<AtomicBool>,
     pub finishing: Arc<AtomicBool>,
+    pub linger: Duration,
+    pub max_batch: usize,
     pub write_buf_cap: usize,
     pub sock_buf: Option<usize>,
     pub idle_timeout: Option<Duration>,
@@ -165,6 +167,9 @@ pub(crate) struct EventLoop {
     /// Round-robin cursor for shard dispatch.
     rr: usize,
     max_payload: usize,
+    /// Batching policy, reported on the stats endpoint.
+    linger: Duration,
+    max_batch: usize,
     write_buf_cap: usize,
     sock_buf: Option<usize>,
     idle_timeout: Option<Duration>,
@@ -216,6 +221,8 @@ impl EventLoop {
             next_token: FIRST_CONN_TOKEN,
             rr: 0,
             max_payload,
+            linger: parts.linger,
+            max_batch: parts.max_batch,
             write_buf_cap: parts.write_buf_cap,
             sock_buf: parts.sock_buf,
             idle_timeout: parts.idle_timeout,
@@ -712,6 +719,12 @@ impl EventLoop {
         let _ = writeln!(out, "reaped {}", self.stats.reaped());
         let _ = writeln!(out, "batches {}", self.stats.batches());
         let _ = writeln!(out, "mean_batch {:.2}", self.stats.mean_batch());
+        let _ = writeln!(out, "queue_wait_count {}", self.stats.queue_wait_count());
+        let _ = writeln!(out, "queue_wait_us_sum {}", self.stats.queue_wait_us_sum());
+        let _ = writeln!(out, "queue_wait_us_max {}", self.stats.queue_wait_us_max());
+        let _ = writeln!(out, "workers {}", self.shards.len());
+        let _ = writeln!(out, "linger_us {}", self.linger.as_micros());
+        let _ = writeln!(out, "max_batch {}", self.max_batch);
         let depths: Vec<usize> = self.shards.iter().map(|s| s.depth()).collect();
         let _ = writeln!(out, "queue_depth_total {}", depths.iter().sum::<usize>());
         for (i, d) in depths.iter().enumerate() {

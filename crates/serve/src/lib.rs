@@ -29,10 +29,13 @@
 //!   shed immediately with a typed
 //!   [`protocol::STATUS_OVERLOADED`] response — queue memory and the
 //!   queueing delay of *accepted* requests stay bounded no matter the
-//!   offered load. A partial batch lingers a configurable few hundred
-//!   microseconds (measured from the oldest request's arrival) for
-//!   stragglers, so light traffic keeps its latency while heavy traffic
-//!   packs full blocks.
+//!   offered load. Batching is work-conserving by default: a worker that
+//!   finds a request serves it at once, and batches form from the backlog
+//!   that queued while it ran its previous pass — so light traffic never
+//!   waits for lane-mates while heavy traffic packs full blocks. An
+//!   opt-in [`ServeConfig::linger`] (measured from the oldest request's
+//!   arrival) holds partial batches for stragglers instead, trading p50
+//!   latency for fewer tape passes.
 //! * **Engine workers** drain up to `64 · 8` requests from their shard,
 //!   group them by model, and share every model's immutable compiled
 //!   plan behind an `Arc`; each group is packed with
@@ -44,8 +47,10 @@
 //!   connection. Engines swapped through the registry take effect
 //!   between batches, never inside one.
 //! * **Observability**: a second plain-text listener
-//!   ([`Server::stats_addr`]) reports the global counters, per-shard
-//!   queue depths, and per-model lines to anything that connects.
+//!   ([`Server::stats_addr`]) reports the global counters, the queue-wait
+//!   stage (count, sum and max of decode → drain), the batching policy
+//!   (`workers`, `linger_us`, `max_batch`), per-shard queue depths, and
+//!   per-model lines to anything that connects.
 //! * **Graceful degradation**: per-request deadlines
 //!   ([`ServeConfig::deadline`]) shed stale queued work with
 //!   [`protocol::STATUS_DEADLINE_EXCEEDED`]; worker panics are contained

@@ -13,8 +13,9 @@
 //!   endpoint. The only thread that touches a socket.
 //! * **`poetbin-worker-{i}`** — one per [`ServeConfig::workers`]; each
 //!   owns one bounded [`Shard`], blocks on it for the next micro-batch
-//!   (deadline-aware linger), evaluates it on the compiled engine, and
-//!   hands completions back to the poller through a channel + waker.
+//!   (whatever backlog is queued, or an opt-in linger), evaluates it on
+//!   the compiled engine, and hands completions back to the poller
+//!   through a channel + waker.
 //!
 //! Shutdown is two-phase so no response is dropped: `stop` closes the
 //! shards (workers drain what is queued, then exit) and stops the poller
@@ -57,8 +58,15 @@ pub struct ServeConfig {
     /// How long a worker holding a partial batch waits for stragglers
     /// before serving it, measured **from the oldest queued request's
     /// arrival** (a worker that was busy has already spent its linger and
-    /// serves the backlog immediately). Zero disables coalescing entirely
-    /// (every request that finds an idle worker is served alone).
+    /// serves the backlog immediately).
+    ///
+    /// The default is zero: the batcher is *work-conserving*. A worker
+    /// that finds a request serves it at once, and batches form only from
+    /// the backlog that queued while the worker ran its previous pass — so
+    /// a lone request never waits for lane-mates, while a loaded server
+    /// still packs full blocks. A positive linger is an explicit opt-in
+    /// that trades up to one linger of p50 latency for fewer, fuller tape
+    /// passes under open-loop traffic.
     pub linger: Duration,
     /// Requests per queue drain, at most 512 (64 lanes × the engine's
     /// 8-word lane blocks). A worker drains up to this many requests,
@@ -113,7 +121,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             max_batch: 64 * MAX_BLOCK_WORDS,
             queue_cap: 4096,
             write_buf_cap: 256 * 1024,
@@ -141,6 +149,10 @@ impl Default for ServeConfig {
 /// holds — even across worker panics, injected faults, and a shutdown
 /// that sheds its tail. The chaos suite replays seeded fault schedules
 /// against exactly this equation.
+///
+/// Every request a worker drains from its shard also records its queue
+/// wait, so with no worker panics `queue_wait_count == served +
+/// deadline_expired` at quiescence as well.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub(crate) received: AtomicU64,
@@ -153,6 +165,36 @@ pub struct ServerStats {
     pub(crate) deadline_expired: AtomicU64,
     pub(crate) worker_panics: AtomicU64,
     pub(crate) reaped: AtomicU64,
+    /// One queue-wait cell per worker, merged when read.
+    pub(crate) queue_wait: Box<[QueueWait]>,
+}
+
+/// One worker's queue-wait tally: how long each request it drained sat
+/// in its shard, from [`Pending::arrived`] (decode) to the drain. Kept
+/// per worker, on its own cache line, so recording never contends.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct QueueWait {
+    count: AtomicU64,
+    sum_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
+impl QueueWait {
+    /// Records the wait of every request in `drained` as of `now`: three
+    /// atomic updates per drain, no allocation.
+    fn record<'a>(&self, now: Instant, drained: impl Iterator<Item = &'a Pending>) {
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        for p in drained {
+            let ns = now.saturating_duration_since(p.arrived).as_nanos() as u64;
+            count += 1;
+            sum += ns;
+            max = max.max(ns);
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum_ns.fetch_add(sum, Ordering::Relaxed);
+        self.max_ns.fetch_max(max, Ordering::Relaxed);
+    }
 }
 
 impl ServerStats {
@@ -226,6 +268,37 @@ impl ServerStats {
     /// never read responses, and plain idle sockets.
     pub fn reaped(&self) -> u64 {
         self.reaped.load(Ordering::Relaxed)
+    }
+
+    /// Requests drained from the queue shards so far — evaluated, shed
+    /// past their deadline, or shed by a contained worker panic — each
+    /// with its queue wait recorded.
+    pub fn queue_wait_count(&self) -> u64 {
+        self.queue_wait
+            .iter()
+            .map(|w| w.count.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Total queue wait of the [`queue_wait_count`](Self::queue_wait_count)
+    /// drained requests, in microseconds: the time from decode to the
+    /// worker's drain, the first stage of a served request's latency.
+    pub fn queue_wait_us_sum(&self) -> u64 {
+        self.queue_wait
+            .iter()
+            .map(|w| w.sum_ns.load(Ordering::Relaxed))
+            .sum::<u64>()
+            / 1000
+    }
+
+    /// Longest queue wait of any drained request so far, in microseconds.
+    pub fn queue_wait_us_max(&self) -> u64 {
+        self.queue_wait
+            .iter()
+            .map(|w| w.max_ns.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
+            / 1000
     }
 
     /// Mean requests per evaluated batch — the lane-occupancy figure the
@@ -343,8 +416,9 @@ pub fn load_engine_with(
 /// [`STATUS_OVERLOADED`](crate::protocol::STATUS_OVERLOADED) immediately
 /// when every shard is full, so neither queue memory nor the queueing
 /// delay of accepted requests grows without bound. Worker threads
-/// blocked on their shard coalesce up to `max_batch ≤ 512` requests
-/// (linger measured from the oldest request's arrival), group them by
+/// blocked on their shard drain up to `max_batch ≤ 512` queued requests
+/// at once (serving a lone request immediately unless an opt-in linger,
+/// measured from the oldest request's arrival, holds it), group them by
 /// model, and evaluate each group as a single packed lane-word block in
 /// one blocked tape pass — each model's immutable compiled plan is
 /// shared behind an [`Arc`], so every worker evaluates the same tape
@@ -433,7 +507,10 @@ impl Server {
                 .map(|_| Shard::new(config.queue_cap))
                 .collect(),
         );
-        let stats = Arc::new(ServerStats::default());
+        let stats = Arc::new(ServerStats {
+            queue_wait: (0..config.workers).map(|_| QueueWait::default()).collect(),
+            ..ServerStats::default()
+        });
         let stopping = Arc::new(AtomicBool::new(false));
         let finishing = Arc::new(AtomicBool::new(false));
         let waker = Arc::new(Waker::new()?);
@@ -455,6 +532,8 @@ impl Server {
             completions: completion_rx,
             stopping: Arc::clone(&stopping),
             finishing: Arc::clone(&finishing),
+            linger: config.linger,
+            max_batch: config.max_batch,
             write_buf_cap: config.write_buf_cap,
             sock_buf: config.sock_buf,
             idle_timeout: config.idle_timeout,
@@ -465,6 +544,7 @@ impl Server {
         for i in 0..config.workers {
             let shards = Arc::clone(&shards);
             let worker = Worker {
+                index: i,
                 registry: Arc::clone(&registry),
                 stats: Arc::clone(&stats),
                 completions: completion_tx.clone(),
@@ -655,6 +735,8 @@ enum GroupEval {
 /// version, so a hot-swapped engine (whose compiled plan may differ in
 /// size) never sees scratch sized for its predecessor.
 struct Worker {
+    /// This worker's shard and [`ServerStats::queue_wait`] cell.
+    index: usize,
     registry: Arc<ModelRegistry>,
     stats: Arc<ServerStats>,
     completions: mpsc::Sender<Completion>,
@@ -679,6 +761,7 @@ impl Worker {
             &mut batch,
             &mut expired,
         ) {
+            self.stats.queue_wait[self.index].record(Instant::now(), batch.iter().chain(&expired));
             if !expired.is_empty() {
                 self.shed(&expired, STATUS_DEADLINE_EXCEEDED);
             }

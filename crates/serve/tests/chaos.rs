@@ -8,7 +8,9 @@
 //! protocol_errors`
 //!
 //! with zero lost and zero duplicated responses on every connection, and
-//! a bounded graceful drain at the end of every run.
+//! a bounded graceful drain at the end of every run. On schedules with no
+//! worker panic the queue-wait stage counter reconciles too:
+//! `queue_wait_count == served + deadline_expired`.
 
 mod common;
 
@@ -155,6 +157,7 @@ fn chaos_run(seed: u64, plan: FaultPlan) {
             s.deadline_expired(),
             s.rejected(),
             s.protocol_errors(),
+            s.queue_wait_count(),
         )
     };
     let wall = Instant::now() + Duration::from_secs(30);
@@ -176,7 +179,8 @@ fn chaos_run(seed: u64, plan: FaultPlan) {
         last = now;
     }
 
-    let (received, served, overloaded, deadline_expired, rejected, protocol_errors) = last;
+    let (received, served, overloaded, deadline_expired, rejected, protocol_errors, queue_waits) =
+        last;
     assert_eq!(
         received,
         served + overloaded + deadline_expired + rejected + protocol_errors,
@@ -197,6 +201,22 @@ fn chaos_run(seed: u64, plan: FaultPlan) {
         2 * REQUESTS as u64,
         "client-observed outcomes must cover every request (seed {seed})"
     );
+    // Every request a worker drained recorded its queue wait. Only a
+    // contained worker panic sheds drained requests as `overloaded`;
+    // without one the drains are exactly the served and expired ones.
+    if server.stats().worker_panics() == 0 {
+        assert_eq!(
+            queue_waits,
+            served + deadline_expired,
+            "queue-wait count drifted (seed {seed})"
+        );
+    } else {
+        assert!(
+            (served + deadline_expired..=served + deadline_expired + overloaded)
+                .contains(&queue_waits),
+            "queue-wait count {queue_waits} outside [served + expired, + overloaded] (seed {seed})"
+        );
+    }
     assert_eq!(protocol_errors, u64::from(poisoned), "seed {seed}");
     assert_eq!(
         rejected, 0,

@@ -506,6 +506,17 @@ fn stats_endpoint_reports_counters_queue_depths_and_models() {
     assert!(report.contains_key("queue_depth_0"));
     assert!(report.contains_key("queue_depth_1"));
     assert!(report.contains_key("uptime_us"));
+    // Queue-wait stage counters cover every drained request.
+    assert_eq!(
+        report.get("queue_wait_count").map(String::as_str),
+        Some("5")
+    );
+    assert!(report.contains_key("queue_wait_us_sum"));
+    assert!(report.contains_key("queue_wait_us_max"));
+    // The batching policy in force: the default is work-conserving.
+    assert_eq!(report.get("workers").map(String::as_str), Some("2"));
+    assert_eq!(report.get("linger_us").map(String::as_str), Some("0"));
+    assert_eq!(report.get("max_batch").map(String::as_str), Some("512"));
     assert!(
         report.get("model_0").is_some_and(|v| v.contains("name=m0")
             && v.contains("received=5")

@@ -70,6 +70,60 @@ fn pipelined_requests_come_back_complete_and_correctly_tagged() {
     server.shutdown();
 }
 
+/// Every request drained from a shard records its queue wait before its
+/// answer is sent, so once a client holds all its answers the counters
+/// reconcile: lone requests first, then a pipelined burst, all under the
+/// default (work-conserving) batching policy.
+#[test]
+fn queue_wait_counters_cover_every_drained_request() {
+    let f = 20;
+    let (server, engine) = start_test_server(19, f, ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let lone: Vec<BitVec> = (0..40).map(|i| test_row(f, 2, i)).collect();
+    let expected = offline(&engine, &lone);
+    for (i, row) in lone.iter().enumerate() {
+        assert_eq!(
+            client.predict(row).expect("predict"),
+            expected[i],
+            "row {i}"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.served(), 40);
+    assert_eq!(stats.queue_wait_count(), 40);
+    assert_eq!(
+        stats.batches(),
+        40,
+        "a lone request in flight is served alone"
+    );
+
+    let burst: Vec<BitVec> = (0..300).map(|i| test_row(f, 5, i)).collect();
+    let expected = offline(&engine, &burst);
+    let mut want: HashMap<u64, usize> = HashMap::new();
+    for (i, row) in burst.iter().enumerate() {
+        want.insert(client.send(row).expect("send"), expected[i]);
+    }
+    for _ in 0..burst.len() {
+        let (id, response) = client.recv().expect("recv");
+        let expect = want.remove(&id).expect("unknown or duplicate response id");
+        assert_eq!(class_of(response), expect, "request {id} cross-wired");
+    }
+
+    let (count, sum, max) = (
+        stats.queue_wait_count(),
+        stats.queue_wait_us_sum(),
+        stats.queue_wait_us_max(),
+    );
+    assert_eq!(stats.served(), 340);
+    assert_eq!(count, stats.served() + stats.deadline_expired());
+    assert!(
+        sum <= count * (max + 1),
+        "mean queue wait above the max: sum {sum} us over {count}, max {max} us"
+    );
+    server.shutdown();
+}
+
 /// The headline concurrency property: N client threads hammer the server
 /// with interleaved pipelined requests; every response must match the
 /// offline batch-path prediction for its request id, with nothing dropped
