@@ -514,3 +514,116 @@ impl EvalPlan {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use poetbin_bits::TruthTable;
+    use poetbin_fpga::NetlistBuilder;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// FNV-1a over one little-endian `u32`.
+    fn fnv(h: &mut u64, word: u32) {
+        for byte in word.to_le_bytes() {
+            *h ^= u64::from(byte);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Hash of everything the executors read from a plan: input loads,
+    /// tape, segments, outputs and the value-array size.
+    fn fingerprint(plan: &EvalPlan) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(slot, feature) in &plan.input_loads {
+            fnv(&mut h, slot);
+            fnv(&mut h, feature);
+        }
+        for op in &plan.tape {
+            for word in [op.kind.index() as u32, op.dst, op.a, op.b, op.c] {
+                fnv(&mut h, word);
+            }
+        }
+        for &(kind, count) in &plan.segments {
+            fnv(&mut h, kind.index() as u32);
+            fnv(&mut h, count);
+        }
+        for &o in &plan.outputs {
+            fnv(&mut h, o);
+        }
+        fnv(&mut h, plan.num_vals as u32);
+        h
+    }
+
+    fn fixture_plan(bytes: &[u8]) -> EvalPlan {
+        let clf = poetbin_core::persist::load_classifier(bytes).expect("fixture decodes");
+        EvalPlan::compile(&clf.to_netlist(clf.min_features())).expect("fixture compiles")
+    }
+
+    /// A seeded netlist whose LUT arities cycle through 0–8, so the
+    /// kernel compiler's >6-input split path and both of its memos run.
+    /// Tables mix random, threshold and word-periodic functions (the last
+    /// repeat whole 64-bit subtables above six inputs).
+    fn wide_arity_netlist(seed: u64) -> Netlist {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new();
+        let mut signals = b.add_inputs(16);
+        signals.push(b.add_const(false));
+        signals.push(b.add_const(true));
+        let pick = |rng: &mut StdRng, s: &[usize]| s[rng.random_range(0..s.len())];
+        for i in 0..400usize {
+            if i % 7 == 6 {
+                let (sel, lo, hi) = (
+                    pick(&mut rng, &signals),
+                    pick(&mut rng, &signals),
+                    pick(&mut rng, &signals),
+                );
+                signals.push(b.add_mux(sel, lo, hi));
+                continue;
+            }
+            let arity = i % 9;
+            let inputs: Vec<usize> = (0..arity).map(|_| pick(&mut rng, &signals)).collect();
+            let table = match rng.random_range(0..3usize) {
+                0 => TruthTable::from_fn(arity, |_| rng.random::<bool>()),
+                1 => {
+                    let t = rng.random_range(0..arity + 1) as u32;
+                    TruthTable::from_fn(arity, |a| (a as u32).count_ones() >= t)
+                }
+                _ => {
+                    let word: u64 = rng.random();
+                    TruthTable::from_fn(arity, |a| (word >> (a & 63)) & 1 == 1 && (a >> 6) != 3)
+                }
+            };
+            signals.push(b.add_lut(inputs, table));
+        }
+        let outputs: Vec<usize> = signals[signals.len() - 24..]
+            .iter()
+            .copied()
+            .chain((0..8).map(|_| pick(&mut rng, &signals)))
+            .collect();
+        b.set_outputs(outputs);
+        b.finish()
+    }
+
+    /// Pins the compiled plans byte for byte: the compiler may get
+    /// faster, but what it emits may not change.
+    #[test]
+    fn compiled_plans_are_pinned() {
+        let deep = fixture_plan(include_bytes!("../../../tests/fixtures/deep.poetbin"));
+        let tiny = fixture_plan(include_bytes!("../../../tests/fixtures/tiny.poetbin"));
+        let wide = EvalPlan::compile(&wide_arity_netlist(13)).expect("valid netlist");
+        let got = [fingerprint(&deep), fingerprint(&tiny), fingerprint(&wide)];
+        assert_eq!(
+            (deep.tape_len(), tiny.tape_len(), wide.tape_len()),
+            (123, 1, 891)
+        );
+        assert_eq!(
+            got,
+            [
+                0x2618_7eb8_ea6f_ea7d,
+                0x0c4b_a7d8_3436_276a,
+                0xd56a_927d_685c_575d
+            ]
+        );
+    }
+}
