@@ -19,6 +19,31 @@ pub(crate) const LOC_ZERO: u32 = 0;
 /// Location of the constant-true lane block in the value array.
 pub(crate) const LOC_ONE: u32 = 1;
 
+/// Marks "none" in the dense per-id and per-op tables below.
+const NONE: u32 = u32::MAX;
+
+/// `op`'s distinct operand ids in ascending order, and how many there are.
+fn distinct_operands(op: &TapeOp) -> ([u32; 3], usize) {
+    let mut s = [op.a, op.b, op.c];
+    if s[0] > s[1] {
+        s.swap(0, 1);
+    }
+    if s[1] > s[2] {
+        s.swap(1, 2);
+    }
+    if s[0] > s[1] {
+        s.swap(0, 1);
+    }
+    let mut n = 1;
+    for j in 1..3 {
+        if s[j] != s[n - 1] {
+            s[n] = s[j];
+            n += 1;
+        }
+    }
+    (s, n)
+}
+
 /// Reorders an SSA op stream into long same-opcode runs (kind-run list
 /// scheduling).
 ///
@@ -33,91 +58,117 @@ pub(crate) const LOC_ONE: u32 = 1;
 /// order-insensitive, so any topological order produces bit-identical
 /// results; this one turns tens of thousands of dispatches into a few
 /// hundred.
+///
+/// Everything is flat arrays: each op's dependencies are found once, the
+/// consumer lists are one CSR array, and the per-kind ready queues are
+/// FIFOs carved out of one buffer (every op is readied exactly once, so a
+/// kind's queue never holds more than that kind's op count).
 pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> {
-    // `def_op[id]` = index of the op defining id, or MAX for inputs and
+    let n = ops.len();
+    // `def_op[id]` = index of the op defining id, or NONE for inputs and
     // constants (always ready).
-    let mut def_op = vec![u32::MAX; num_ids];
+    let mut def_op = vec![NONE; num_ids];
     for (i, op) in ops.iter().enumerate() {
         def_op[op.dst as usize] = i as u32;
     }
-    // An op's defining dependencies: the indices of the ops computing its
-    // distinct operands (constants and inputs excluded).
-    let deps = |op: &TapeOp| -> ([u32; 3], usize) {
-        let mut sources = [op.a, op.b, op.c];
-        sources.sort_unstable();
-        let mut out = [0u32; 3];
-        let mut n = 0;
-        for (j, &src) in sources.iter().enumerate() {
-            if j > 0 && sources[j - 1] == src {
-                continue;
-            }
-            let def = def_op[src as usize];
-            if def != u32::MAX {
-                out[n] = def;
-                n += 1;
-            }
-        }
-        (out, n)
-    };
-    // Dependency edges in CSR form: a per-op `Vec<Vec<u32>>` here costs
-    // one allocation per op (tens of thousands per compile) and scatters
-    // the edge lists across the heap; two counting passes over the tape
-    // build the same adjacency in two flat arrays instead.
-    let mut indegree = vec![0u32; ops.len()];
-    let mut edge_start = vec![0u32; ops.len() + 1];
+    // Each op's defining dependencies, found once: the ops computing its
+    // distinct operands (distinct operands have distinct definitions),
+    // NONE in the unused places. Counted into `edge_end[def]` — index
+    // `n + 1` soaks up the NONEs — then prefix-summed so `edge_end[def]`
+    // is the end of def's range in the CSR consumer array.
+    let mut deps = Vec::with_capacity(n);
+    let mut indegree = Vec::with_capacity(n);
+    let mut kind_of = Vec::with_capacity(n);
+    let mut edge_end = vec![0u32; n + 2];
+    let mut per_kind = [0u32; NUM_KINDS];
     for op in ops {
-        let (defs, n) = deps(op);
-        for &def in &defs[..n] {
-            edge_start[def as usize + 1] += 1;
+        let da = def_op[op.a as usize];
+        let db = if op.b != op.a {
+            def_op[op.b as usize]
+        } else {
+            NONE
+        };
+        let dc = if op.c != op.a && op.c != op.b {
+            def_op[op.c as usize]
+        } else {
+            NONE
+        };
+        let d = [da, db, dc];
+        for def in d {
+            edge_end[def.min(n as u32 + 1) as usize] += 1;
+        }
+        deps.push(d);
+        indegree.push(d.iter().map(|&def| u8::from(def != NONE)).sum::<u8>());
+        kind_of.push(op.kind.index() as u8);
+        per_kind[op.kind.index()] += 1;
+    }
+    let mut total = 0;
+    for e in &mut edge_end[..=n] {
+        total += *e;
+        *e = total;
+    }
+    // Filling each range from its back while walking the ops in reverse
+    // leaves every consumer list in ascending op order, and `edge_end[i]`
+    // at the start of op i's range (so op i's range is
+    // `edge_end[i]..edge_end[i + 1]`).
+    let mut consumers = vec![0u32; total as usize];
+    for (i, d) in deps.iter().enumerate().rev() {
+        for &def in d {
+            if def != NONE {
+                edge_end[def as usize] -= 1;
+                consumers[edge_end[def as usize] as usize] = i as u32;
+            }
         }
     }
-    for i in 0..ops.len() {
-        edge_start[i + 1] += edge_start[i];
-    }
-    let mut consumers = vec![0u32; edge_start[ops.len()] as usize];
-    let mut cursor = edge_start.clone();
-    for (i, op) in ops.iter().enumerate() {
-        let (defs, n) = deps(op);
-        indegree[i] = n as u32;
-        for &def in &defs[..n] {
-            consumers[cursor[def as usize] as usize] = i as u32;
-            cursor[def as usize] += 1;
-        }
-    }
+    let edge_start = edge_end;
 
-    let mut ready: [std::collections::VecDeque<u32>; NUM_KINDS] = Default::default();
-    for (i, op) in ops.iter().enumerate() {
+    // Per-kind FIFOs: kind k owns `fifo[head[k]..]`, and
+    // `fifo[head[k]..tail[k]]` holds its ready ops in arrival order.
+    let mut head = [0usize; NUM_KINDS];
+    let mut acc = 0;
+    for k in 0..NUM_KINDS {
+        head[k] = acc;
+        acc += per_kind[k] as usize;
+    }
+    let mut tail = head;
+    let mut fifo = vec![0u32; n];
+    for i in 0..n {
         if indegree[i] == 0 {
-            ready[op.kind.index()].push_back(i as u32);
+            let k = kind_of[i] as usize;
+            fifo[tail[k]] = i as u32;
+            tail[k] += 1;
         }
     }
-    let pick = |ready: &[std::collections::VecDeque<u32>; NUM_KINDS]| -> usize {
+    let pick = |head: &[usize; NUM_KINDS], tail: &[usize; NUM_KINDS]| -> usize {
         let mut best = 0;
         for k in 1..NUM_KINDS {
-            if ready[k].len() > ready[best].len() {
+            if tail[k] - head[k] > tail[best] - head[best] {
                 best = k;
             }
         }
         best
     };
-    let mut scheduled = Vec::with_capacity(ops.len());
-    let mut current = pick(&ready);
-    while scheduled.len() < ops.len() {
+    let mut scheduled = Vec::with_capacity(n);
+    let mut current = pick(&head, &tail);
+    while scheduled.len() < n {
         // Drain the current kind FIFO; ops readied mid-run of the same
         // kind join the run.
-        while let Some(i) = ready[current].pop_front() {
-            let op = ops[i as usize];
-            scheduled.push(op);
-            let edges = edge_start[i as usize] as usize..edge_start[i as usize + 1] as usize;
+        while head[current] < tail[current] {
+            let i = fifo[head[current]] as usize;
+            head[current] += 1;
+            scheduled.push(ops[i]);
+            let edges = edge_start[i] as usize..edge_start[i + 1] as usize;
             for &c in &consumers[edges] {
                 indegree[c as usize] -= 1;
                 if indegree[c as usize] == 0 {
-                    ready[ops[c as usize].kind.index()].push_back(c);
+                    let k = kind_of[c as usize] as usize;
+                    fifo[tail[k]] = c;
+                    tail[k] += 1;
                 }
             }
         }
         // Switch to the kind with the most ready ops.
-        current = pick(&ready);
+        current = pick(&head, &tail);
     }
     scheduled
 }
@@ -149,46 +200,33 @@ pub(crate) fn allocate(
     output_ids: &[u32],
     num_ids: usize,
 ) -> Allocation {
-    // Dead-code sweep: an op whose destination is never read (directly or
-    // transitively towards an output) must not occupy a slot. SSA order
-    // means one reverse pass settles transitive deadness.
-    let mut used = vec![false; num_ids];
+    // One reverse pass settles both deadness and live ranges. `last_use[id]`
+    // is the index of the last op that reads id, `ops.len()` for outputs
+    // (read after the final op, so they survive the whole tape), NONE for
+    // ids nothing reads. In SSA order every reader of an op's result comes
+    // after it, so by the time the reverse pass reaches an op its
+    // `last_use` is final: NONE means dead, and a dead op's reads are not
+    // reads.
+    let mut last_use = vec![NONE; num_ids];
     for &o in output_ids {
-        used[o as usize] = true;
+        last_use[o as usize] = ops.len() as u32;
     }
-    let mut keep = vec![false; ops.len()];
+    let mut dead_ops = 0;
     for (i, op) in ops.iter().enumerate().rev() {
-        if !used[op.dst as usize] {
+        if last_use[op.dst as usize] == NONE {
+            dead_ops += 1;
             continue;
         }
-        keep[i] = true;
         for src in [op.a, op.b, op.c] {
-            used[src as usize] = true;
+            if last_use[src as usize] == NONE {
+                last_use[src as usize] = i as u32;
+            }
         }
-    }
-    let kept: Vec<TapeOp> = ops
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(op, _)| *op)
-        .collect();
-    let dead_ops = ops.len() - kept.len();
-
-    // Live ranges: index of the last read of each id. Outputs are read at
-    // `kept.len()`, one past the final op, so they survive the whole tape.
-    let mut last_use = vec![usize::MAX; num_ids];
-    for (i, op) in kept.iter().enumerate() {
-        for src in [op.a, op.b, op.c] {
-            last_use[src as usize] = i;
-        }
-    }
-    for &o in output_ids {
-        last_use[o as usize] = kept.len();
     }
 
     // Linear scan. The free list is a stack so a slot freed by this op's
     // dying operand is immediately reused for its result.
-    let mut slot_of = vec![u32::MAX; num_ids];
+    let mut slot_of = vec![NONE; num_ids];
     slot_of[0] = LOC_ZERO;
     slot_of[1] = LOC_ONE;
     let mut free: Vec<u32> = Vec::new();
@@ -203,7 +241,7 @@ pub(crate) fn allocate(
 
     let mut input_loads = Vec::with_capacity(input_defs.len());
     for &(id, feature) in input_defs {
-        if last_use[id as usize] == usize::MAX {
+        if last_use[id as usize] == NONE {
             continue; // loaded for a LUT that never actually reads it
         }
         let slot = alloc(&mut free);
@@ -211,27 +249,26 @@ pub(crate) fn allocate(
         input_loads.push((slot, feature));
     }
 
-    let mut remapped = Vec::with_capacity(kept.len());
-    for (i, op) in kept.iter().enumerate() {
+    let mut remapped = Vec::with_capacity(ops.len() - dead_ops);
+    for (i, op) in ops.iter().enumerate() {
+        if last_use[op.dst as usize] == NONE {
+            continue;
+        }
         let a = slot_of[op.a as usize];
         let b = slot_of[op.b as usize];
         let c = slot_of[op.c as usize];
         debug_assert!(
-            a != u32::MAX && b != u32::MAX && c != u32::MAX,
+            a != NONE && b != NONE && c != NONE,
             "operand read before definition"
         );
         // Free dying operands before allocating the destination: reading
         // each lane strictly precedes writing it, so in-place reuse is
-        // sound even for the three-operand mux. Dedup so `x op x` cannot
-        // free one slot twice (double-allocation would alias two live
-        // values).
-        let mut sources = [op.a, op.b, op.c];
-        sources.sort_unstable();
-        for (j, &src) in sources.iter().enumerate() {
-            if src <= 1 || (j > 0 && sources[j - 1] == src) {
-                continue;
-            }
-            if last_use[src as usize] == i {
+        // sound even for the three-operand mux. Distinct operands only, so
+        // `x op x` cannot free one slot twice (double-allocation would
+        // alias two live values), in ascending id order.
+        let (sources, n) = distinct_operands(op);
+        for &src in &sources[..n] {
+            if src > 1 && last_use[src as usize] == i as u32 {
                 free.push(slot_of[src as usize]);
             }
         }
@@ -249,7 +286,7 @@ pub(crate) fn allocate(
     let outputs = output_ids
         .iter()
         .map(|&o| {
-            debug_assert!(slot_of[o as usize] != u32::MAX, "output never defined");
+            debug_assert!(slot_of[o as usize] != NONE, "output never defined");
             slot_of[o as usize]
         })
         .collect();

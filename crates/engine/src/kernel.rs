@@ -10,14 +10,19 @@
 //! references, and keep only the muxes that remain. A typical 6-input
 //! tree LUT shrinks from 63 structural muxes to a couple dozen ops, and
 //! threshold (MAT) tables collapse much further.
+//!
+//! A plan compile runs one [`KernelBuilder`] over every LUT of the
+//! netlist, thousands of tables in a row, so the builder allocates per
+//! compile rather than per table: its op buffer is cleared, not dropped,
+//! and its subtable/shape memo is one open-addressed array, sized from
+//! the largest arity seen so far and emptied between tables by bumping a
+//! generation stamp instead of clearing or reallocating it.
 
 use poetbin_bits::TruthTable;
 
-use crate::fxhash::FxHashMap;
-
 /// A value available while a kernel runs: constants and operand literals
 /// are free; `Node` reads an earlier mux result from the scratch buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum KRef {
     /// Constant false (all-zero lanes).
     Zero,
@@ -31,6 +36,19 @@ pub(crate) enum KRef {
     Node(u32),
 }
 
+impl KRef {
+    /// A distinct `u32` per reference, for memo keys.
+    fn code(self) -> u32 {
+        match self {
+            KRef::Zero => 0,
+            KRef::One => 1,
+            KRef::Var(v) => 2 + 2 * u32::from(v),
+            KRef::NotVar(v) => 3 + 2 * u32::from(v),
+            KRef::Node(i) => 514 + i,
+        }
+    }
+}
+
 /// One mux: `out = if sel { hi } else { lo }`, lane-parallel.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct KOp {
@@ -39,22 +57,112 @@ pub(crate) struct KOp {
     pub(crate) hi: KRef,
 }
 
-/// A compiled LUT: mux ops in dependency order plus the result reference.
-#[derive(Clone, Debug)]
-pub(crate) struct LutKernel {
-    ops: Vec<KOp>,
-    result: KRef,
+/// One hashed memo entry; live only while `stamp` equals the builder's
+/// current generation. `tag` is the subtable width (4–6) for a content
+/// entry, `8 + sel` for a shape entry.
+#[derive(Clone, Copy)]
+struct Slot {
+    stamp: u32,
+    tag: u32,
+    key: u64,
+    value: KRef,
 }
 
-/// Compilation state: content-keyed memo for word-sized subtables and a
-/// structural memo for wider merge nodes.
-struct Builder {
+const EMPTY: Slot = Slot {
+    stamp: 0,
+    tag: 0,
+    key: 0,
+    value: KRef::Zero,
+};
+
+/// Slots of the direct-mapped content memo: one per 2-input subtable
+/// (16), then one per 3-input subtable (256).
+const SMALL_SLOTS: usize = 16 + 256;
+
+/// Compiles truth tables into mux DAGs, one table at a time, reusing its
+/// buffers across tables. The memo holds a content entry per word-sized
+/// subtable (`(width, bits)`) and a shape entry per merge node
+/// (`(sel, lo, hi)`), both for the current table only. 2- and 3-input
+/// subtables, the most frequent, are few enough to index directly by
+/// their bits.
+pub(crate) struct KernelBuilder {
     ops: Vec<KOp>,
-    by_content: FxHashMap<(u8, u64), KRef>,
-    by_shape: FxHashMap<(u8, KRef, KRef), KRef>,
+    memo: Vec<Slot>,
+    /// `64 - log2(memo.len())`: multiplicative hashing keeps the top bits.
+    shift: u32,
+    /// Direct-mapped content memo for widths 2 and 3: `(stamp, result)`.
+    small: [(u32, KRef); SMALL_SLOTS],
+    generation: u32,
 }
 
-impl Builder {
+impl KernelBuilder {
+    pub(crate) fn new() -> KernelBuilder {
+        KernelBuilder {
+            ops: Vec::new(),
+            memo: Vec::new(),
+            shift: 64,
+            small: [(0, KRef::Zero); SMALL_SLOTS],
+            generation: 0,
+        }
+    }
+
+    /// Compiles `table` and returns its result reference. The mux ops
+    /// stay in [`KernelBuilder::ops`] until the next call.
+    pub(crate) fn compile(&mut self, table: &TruthTable) -> KRef {
+        let k = table.inputs();
+        // A table has fewer than 2^k subtables and 2^k merges, so 2^(k+2)
+        // slots keep the load factor at or under one half.
+        let want = 1usize << (k + 2);
+        if self.memo.len() < want {
+            self.memo = vec![EMPTY; want];
+            self.shift = 64 - want.trailing_zeros();
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.memo.fill(EMPTY);
+            self.small.fill((0, KRef::Zero));
+            self.generation = 1;
+        }
+        self.ops.clear();
+        self.build(table.as_bits().as_words(), k, 0)
+    }
+
+    /// The mux ops of the last compiled table, in dependency order.
+    /// Invariant relied on by the tape flattener: when the result is a
+    /// `Node`, it is always the LAST op — a shape-memo hit can only return
+    /// a pre-existing node when no new ops were emitted underneath it, so
+    /// a freshly pushed root is necessarily final.
+    pub(crate) fn ops(&self) -> &[KOp] {
+        &self.ops
+    }
+
+    /// The memo slot holding `(tag, key)`, or the empty slot where it
+    /// would go, with the stored value on a hit.
+    fn find(&self, tag: u32, key: u64) -> (usize, Option<KRef>) {
+        let mask = self.memo.len() - 1;
+        let h = (key ^ u64::from(tag).rotate_left(56)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = (h >> self.shift) as usize;
+        loop {
+            let slot = &self.memo[i];
+            if slot.stamp != self.generation {
+                return (i, None);
+            }
+            if slot.tag == tag && slot.key == key {
+                return (i, Some(slot.value));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn store(&mut self, at: usize, tag: u32, key: u64, value: KRef) {
+        self.memo[at] = Slot {
+            stamp: self.generation,
+            tag,
+            key,
+            value,
+        };
+    }
+
     fn merge(&mut self, sel: u8, lo: KRef, hi: KRef) -> KRef {
         if lo == hi {
             return lo;
@@ -65,12 +173,17 @@ impl Builder {
         if lo == KRef::One && hi == KRef::Zero {
             return KRef::NotVar(sel);
         }
-        if let Some(&r) = self.by_shape.get(&(sel, lo, hi)) {
+        let (tag, key) = (
+            8 + u32::from(sel),
+            u64::from(lo.code()) << 32 | u64::from(hi.code()),
+        );
+        let (at, hit) = self.find(tag, key);
+        if let Some(r) = hit {
             return r;
         }
         let r = KRef::Node(self.ops.len() as u32);
         self.ops.push(KOp { sel, lo, hi });
-        self.by_shape.insert((sel, lo, hi), r);
+        self.store(at, tag, key, r);
         r
     }
 
@@ -89,14 +202,42 @@ impl Builder {
         if t == mask {
             return KRef::One;
         }
-        if let Some(&r) = self.by_content.get(&(width as u8, t)) {
-            return r;
+        if width == 1 {
+            // `01` or `10`: the merge of two constants is a bare literal,
+            // never an op, so it is not worth a memo entry.
+            return if t == 0b10 {
+                KRef::Var(0)
+            } else {
+                KRef::NotVar(0)
+            };
         }
         let half = 1usize << (width - 1);
+        if width <= 3 {
+            let at = if width == 2 {
+                t as usize
+            } else {
+                16 + t as usize
+            };
+            let (stamp, r) = self.small[at];
+            if stamp == self.generation {
+                return r;
+            }
+            let lo = self.build_word(t, width - 1);
+            let hi = self.build_word(t >> half, width - 1);
+            let r = self.merge(width as u8 - 1, lo, hi);
+            self.small[at] = (self.generation, r);
+            return r;
+        }
+        let tag = width as u32;
+        if let (_, Some(r)) = self.find(tag, t) {
+            return r;
+        }
         let lo = self.build_word(t, width - 1);
         let hi = self.build_word(t >> half, width - 1);
         let r = self.merge(width as u8 - 1, lo, hi);
-        self.by_content.insert((width as u8, t), r);
+        // The recursion may have filled the slot the first probe found.
+        let (at, _) = self.find(tag, t);
+        self.store(at, tag, t, r);
         r
     }
 
@@ -114,83 +255,48 @@ impl Builder {
     }
 }
 
-impl LutKernel {
-    /// Compiles a truth table into a mux DAG.
-    pub(crate) fn compile(table: &TruthTable) -> LutKernel {
-        let mut b = Builder {
-            ops: Vec::new(),
-            by_content: FxHashMap::default(),
-            by_shape: FxHashMap::default(),
-        };
-        let result = b.build(table.as_bits().as_words(), table.inputs(), 0);
-        LutKernel { ops: b.ops, result }
-    }
-
-    /// Number of mux ops (the scratch space [`LutKernel::eval`] needs).
-    #[cfg(test)]
-    fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// The mux ops in dependency order. Invariant relied on by the tape
-    /// flattener: when [`LutKernel::result`] is a `Node`, it is always the
-    /// LAST op — a `by_shape` memo hit can only return a pre-existing node
-    /// when no new ops were emitted underneath it, so a freshly pushed
-    /// root is necessarily final.
-    pub(crate) fn ops(&self) -> &[KOp] {
-        &self.ops
-    }
-
-    /// The kernel's result reference (constant, literal, complement or
-    /// final node).
-    pub(crate) fn result(&self) -> KRef {
-        self.result
-    }
-
-    /// Evaluates the kernel over 64 lanes. `sels[i]` is operand `i`'s lane
-    /// word; `scratch` must hold at least [`LutKernel::num_ops`] words.
-    /// Reference implementation for the unit tests — the engine runs the
-    /// flattened tape in `plan.rs` instead.
-    #[cfg(test)]
-    fn eval(&self, sels: &[u64], scratch: &mut [u64]) -> u64 {
-        #[inline]
-        fn resolve(r: KRef, sels: &[u64], scratch: &[u64]) -> u64 {
-            match r {
-                KRef::Zero => 0,
-                KRef::One => u64::MAX,
-                KRef::Var(v) => sels[v as usize],
-                KRef::NotVar(v) => !sels[v as usize],
-                KRef::Node(i) => scratch[i as usize],
-            }
-        }
-        for i in 0..self.ops.len() {
-            let op = self.ops[i];
-            let s = sels[op.sel as usize];
-            let lo = resolve(op.lo, sels, scratch);
-            let hi = resolve(op.hi, sels, scratch);
-            scratch[i] = lo ^ (s & (lo ^ hi));
-        }
-        resolve(self.result, sels, scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check_table(table: &TruthTable, case: &str) {
-        let kernel = LutKernel::compile(table);
-        let k = table.inputs();
-        let mut scratch = vec![0u64; kernel.num_ops()];
-        // Pseudo-random independent lane words per operand.
-        let sels: Vec<u64> = (0..k)
+    /// Reference evaluator over 64 lanes: `sels[i]` is operand `i`'s lane
+    /// word. The engine runs the flattened tape instead.
+    fn eval(ops: &[KOp], result: KRef, sels: &[u64]) -> u64 {
+        let resolve = |r: KRef, scratch: &[u64]| match r {
+            KRef::Zero => 0,
+            KRef::One => u64::MAX,
+            KRef::Var(v) => sels[v as usize],
+            KRef::NotVar(v) => !sels[v as usize],
+            KRef::Node(i) => scratch[i as usize],
+        };
+        let mut scratch = Vec::with_capacity(ops.len());
+        for op in ops {
+            let s = sels[op.sel as usize];
+            let lo = resolve(op.lo, &scratch);
+            let hi = resolve(op.hi, &scratch);
+            scratch.push(lo ^ (s & (lo ^ hi)));
+        }
+        resolve(result, &scratch)
+    }
+
+    /// Pseudo-random independent lane words, one per operand.
+    fn lane_words(k: usize) -> Vec<u64> {
+        (0..k)
             .map(|i| {
                 (i as u64 + 3)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .rotate_left(i as u32)
             })
-            .collect();
-        let word = kernel.eval(&sels, &mut scratch);
+            .collect()
+    }
+
+    /// Compiles `table` on `builder` and checks it against `eval_words`
+    /// and the scalar table lookup; returns the result reference.
+    fn check_with(builder: &mut KernelBuilder, table: &TruthTable, case: &str) -> KRef {
+        let result = builder.compile(table);
+        let k = table.inputs();
+        let sels = lane_words(k);
+        let word = eval(builder.ops(), result, &sels);
         assert_eq!(
             word,
             table.eval_words(&sels),
@@ -200,28 +306,39 @@ mod tests {
             let addr: usize = (0..k).map(|i| (((sels[i] >> l) & 1) as usize) << i).sum();
             assert_eq!((word >> l) & 1 == 1, table.eval(addr), "{case}: lane {l}");
         }
+        result
+    }
+
+    /// [`check_with`] on a fresh builder; returns the op count.
+    fn check_table(table: &TruthTable, case: &str) -> usize {
+        let mut builder = KernelBuilder::new();
+        check_with(&mut builder, table, case);
+        builder.ops().len()
+    }
+
+    fn hashed_table(k: usize, salt: u64) -> TruthTable {
+        TruthTable::from_fn(k, |i| {
+            (i as u64)
+                .wrapping_add(salt)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                >> 13
+                & 1
+                == 1
+        })
     }
 
     #[test]
     fn kernel_matches_table_on_random_functions() {
         for k in 0..=8usize {
             for salt in 0..4u64 {
-                let table = TruthTable::from_fn(k, |i| {
-                    (i as u64)
-                        .wrapping_add(salt)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        >> 13
-                        & 1
-                        == 1
-                });
-                check_table(&table, &format!("k={k} salt={salt}"));
+                check_table(&hashed_table(k, salt), &format!("k={k} salt={salt}"));
             }
         }
     }
 
     #[test]
     fn kernel_handles_degenerate_tables() {
-        check_table(&TruthTable::zeros(6), "const0");
+        assert_eq!(check_table(&TruthTable::zeros(6), "const0"), 0);
         check_table(&TruthTable::ones(6), "const1");
         // Single-literal and majority functions.
         check_table(&TruthTable::from_fn(4, |i| (i >> 2) & 1 == 1), "literal");
@@ -229,9 +346,8 @@ mod tests {
             &TruthTable::from_fn(5, |i| (i as u32).count_ones() >= 3),
             "majority5",
         );
-        assert_eq!(LutKernel::compile(&TruthTable::zeros(6)).num_ops(), 0);
         assert_eq!(
-            LutKernel::compile(&TruthTable::from_fn(3, |i| i & 1 == 1)).num_ops(),
+            check_table(&TruthTable::from_fn(3, |i| i & 1 == 1), "bare literal"),
             0,
             "a bare literal needs no muxes"
         );
@@ -242,12 +358,46 @@ mod tests {
         // A 6-input majority has heavy subtable sharing; the deduplicated
         // DAG must stay well under the 63 structural muxes.
         let majority = TruthTable::from_fn(6, |i| (i as u32).count_ones() >= 3);
-        let kernel = LutKernel::compile(&majority);
-        assert!(
-            kernel.num_ops() <= 25,
-            "majority-6 compiled to {} ops",
-            kernel.num_ops()
-        );
-        check_table(&majority, "majority6");
+        let ops = check_table(&majority, "majority6");
+        assert!(ops <= 25, "majority-6 compiled to {ops} ops");
+    }
+
+    /// One builder reused across tables of mixed arities must compile each
+    /// exactly as a fresh builder would: a memo entry left over from an
+    /// earlier table (same width and bits, or same shape) must never leak
+    /// into the next one.
+    #[test]
+    fn reused_builder_matches_fresh_builders() {
+        let arities = [8usize, 0, 6, 2, 7, 6, 1, 8, 3, 6, 5, 0, 4, 7, 6, 6];
+        let mut reused = KernelBuilder::new();
+        for (n, &k) in arities.iter().enumerate() {
+            // Alternate hashed tables with thresholds: thresholds repeat
+            // the subtables a hashed table of the same width just stored.
+            let table = if n % 2 == 0 {
+                hashed_table(k, n as u64)
+            } else {
+                TruthTable::from_fn(k, |i| (i as u32).count_ones() as usize >= k / 2)
+            };
+            let case = format!("table {n} (k={k})");
+            let result = check_with(&mut reused, &table, &case);
+            let mut fresh = KernelBuilder::new();
+            assert_eq!(result, fresh.compile(&table), "{case}: result");
+            assert_eq!(reused.ops().len(), fresh.ops().len(), "{case}: op count");
+            for (a, b) in reused.ops().iter().zip(fresh.ops()) {
+                assert_eq!((a.sel, a.lo, a.hi), (b.sel, b.lo, b.hi), "{case}: ops");
+            }
+        }
+    }
+
+    #[test]
+    fn generation_wraparound_resets_the_memo() {
+        let mut builder = KernelBuilder::new();
+        let table = hashed_table(6, 9);
+        check_with(&mut builder, &table, "before wrap");
+        let expect = builder.ops().len();
+        builder.generation = u32::MAX;
+        check_with(&mut builder, &table, "at wrap");
+        assert_eq!(builder.generation, 1);
+        assert_eq!(builder.ops().len(), expect);
     }
 }

@@ -52,7 +52,6 @@
 mod alloc;
 mod engine;
 mod exec;
-mod fxhash;
 mod jit;
 mod kernel;
 mod ops;

@@ -6,8 +6,7 @@ use poetbin_fpga::{Netlist, NetlistError, Node};
 
 use crate::alloc::{allocate, schedule_kind_runs, LOC_ONE, LOC_ZERO};
 use crate::exec::Executor;
-use crate::fxhash::FxHashMap;
-use crate::kernel::{KRef, LutKernel};
+use crate::kernel::{KOp, KRef, KernelBuilder};
 use crate::ops::{classify, Classified, OpKind, OpStats, TapeOp};
 
 /// SSA id of the constant-false value.
@@ -65,30 +64,84 @@ pub struct EvalPlan {
     stats: OpStats,
 }
 
+/// Marks "no such value" in the emitter's dense per-id tables.
+const NO_ID: u32 = u32::MAX;
+
 /// SSA op builder: fresh ids per definition, a global complement memo (one
 /// materialised `not` per signal, ever), and cross-kernel
 /// common-subexpression elimination.
 struct Emitter {
     ops: Vec<TapeOp>,
     next_id: u32,
-    comp: FxHashMap<u32, u32>,
-    cse: FxHashMap<(OpKind, u32, u32, u32), u32>,
+    /// `comp[id]`: an id known to hold `!id`, or [`NO_ID`]. Dense, because
+    /// every id gets a slot the moment it is defined.
+    comp: Vec<u32>,
+    /// CSE table: open-addressed over `op index + 1` (0 = empty), keyed by
+    /// the op's own `(kind, a, b, c)`, so it stores no keys of its own.
+    cse: Vec<u32>,
+    /// `64 - log2(cse.len())`: multiplicative hashing keeps the top bits.
+    cse_shift: u32,
 }
 
 impl Emitter {
-    fn new() -> Emitter {
+    /// An emitter pre-sized for about `expected_ops` ops.
+    fn with_capacity(expected_ops: usize) -> Emitter {
+        let slots = (2 * expected_ops).next_power_of_two().max(64);
+        let mut comp = Vec::with_capacity(expected_ops + 2);
+        comp.extend([NO_ID, NO_ID]); // 0 and 1 are the constants
         Emitter {
-            ops: Vec::new(),
-            next_id: 2, // 0 and 1 are the constants
-            comp: FxHashMap::default(),
-            cse: FxHashMap::default(),
+            ops: Vec::with_capacity(expected_ops),
+            next_id: 2,
+            comp,
+            cse: vec![0; slots],
+            cse_shift: 64 - slots.trailing_zeros(),
         }
     }
 
     fn fresh_value(&mut self) -> u32 {
         let v = self.next_id;
         self.next_id += 1;
+        self.comp.push(NO_ID);
         v
+    }
+
+    /// The complement memo as a [`classify`] oracle.
+    fn comp_of(&self, x: u32) -> Option<u32> {
+        let n = self.comp[x as usize];
+        (n != NO_ID).then_some(n)
+    }
+
+    /// The CSE slot holding op `(kind, a, b, c)`, or the empty slot where
+    /// it would go, with the op's index on a hit.
+    fn cse_find(&self, kind: OpKind, a: u32, b: u32, c: u32) -> (usize, Option<usize>) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let h = (u64::from(a) | u64::from(b) << 32).wrapping_mul(K);
+        let h = (h.rotate_left(5) ^ (u64::from(c) << 8 | kind.index() as u64)).wrapping_mul(K);
+        let mask = self.cse.len() - 1;
+        let mut i = (h >> self.cse_shift) as usize;
+        loop {
+            let entry = self.cse[i];
+            if entry == 0 {
+                return (i, None);
+            }
+            let op = &self.ops[entry as usize - 1];
+            if op.kind == kind && op.a == a && op.b == b && op.c == c {
+                return (i, Some(entry as usize - 1));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the CSE table and re-inserts every op.
+    fn grow_cse(&mut self) {
+        let slots = self.cse.len() * 2;
+        self.cse = vec![0; slots];
+        self.cse_shift = 64 - slots.trailing_zeros();
+        for i in 0..self.ops.len() {
+            let op = self.ops[i];
+            let (at, _) = self.cse_find(op.kind, op.a, op.b, op.c);
+            self.cse[at] = i as u32 + 1;
+        }
     }
 
     /// Emits one op (or returns the id of an identical earlier one).
@@ -101,16 +154,22 @@ impl Emitter {
         // `c` only matters for Mux; pin it for the others so the CSE key
         // is canonical.
         let c = if kind == OpKind::Mux { c } else { a };
-        let key = (kind, a, b, c);
-        if let Some(&v) = self.cse.get(&key) {
-            return v;
+        let (mut at, hit) = self.cse_find(kind, a, b, c);
+        if let Some(i) = hit {
+            return self.ops[i].dst;
+        }
+        if 2 * (self.ops.len() + 1) > self.cse.len() {
+            self.grow_cse();
+            at = self.cse_find(kind, a, b, c).0;
         }
         let dst = self.fresh_value();
         self.ops.push(TapeOp { kind, dst, a, b, c });
-        self.cse.insert(key, dst);
+        self.cse[at] = self.ops.len() as u32;
         if kind == OpKind::Not {
-            self.comp.insert(dst, a);
-            self.comp.entry(a).or_insert(dst);
+            self.comp[dst as usize] = a;
+            if self.comp[a as usize] == NO_ID {
+                self.comp[a as usize] = dst;
+            }
         }
         dst
     }
@@ -123,7 +182,7 @@ impl Emitter {
         if x == ID_ONE {
             return ID_ZERO;
         }
-        if let Some(&n) = self.comp.get(&x) {
+        if let Some(n) = self.comp_of(x) {
             return n;
         }
         self.push(OpKind::Not, x, x, x)
@@ -131,9 +190,7 @@ impl Emitter {
 
     /// Emits the structural mux `sel ? hi : lo`, specialized.
     fn mux(&mut self, sel: u32, lo: u32, hi: u32) -> u32 {
-        let comp = &self.comp;
-        let classified = classify(sel, lo, hi, ID_ZERO, ID_ONE, |v| comp.get(&v).copied());
-        match classified {
+        match classify(sel, lo, hi, ID_ZERO, ID_ONE, |v| self.comp_of(v)) {
             Classified::Alias(v) => v,
             // Route complements through the memo so a signal whose
             // complement already exists never gets a second `not`.
@@ -155,16 +212,23 @@ fn resolve(em: &mut Emitter, operand_ids: &[u32], node_ids: &[u32], r: KRef) -> 
     }
 }
 
-/// Appends a compiled LUT kernel to the SSA stream, returning the id of
-/// its result.
+/// Appends a compiled LUT kernel (`ops` and `result`, straight from the
+/// [`KernelBuilder`]) to the SSA stream, returning the id of its result.
+/// `node_ids` is scratch, reused across kernels.
 ///
 /// Complemented-branch shapes are classified at the [`KRef`] level first —
 /// `mux(s, v, !v)` is a plain `xor` and never needs `!v` materialised —
 /// everything else resolves operands and goes through the generic mux
 /// classifier.
-fn flatten_kernel(em: &mut Emitter, kernel: &LutKernel, operand_ids: &[u32]) -> u32 {
-    let mut node_ids: Vec<u32> = Vec::with_capacity(kernel.ops().len());
-    for op in kernel.ops() {
+fn flatten_kernel(
+    em: &mut Emitter,
+    ops: &[KOp],
+    result: KRef,
+    operand_ids: &[u32],
+    node_ids: &mut Vec<u32>,
+) -> u32 {
+    node_ids.clear();
+    for op in ops {
         let sel = operand_ids[op.sel as usize];
         let id = match (op.lo, op.hi) {
             (KRef::Var(v), KRef::NotVar(w)) if v == w => {
@@ -184,14 +248,14 @@ fn flatten_kernel(em: &mut Emitter, kernel: &LutKernel, operand_ids: &[u32]) -> 
                 em.push(OpKind::OrNot, sel, x, sel)
             }
             (lo, hi) => {
-                let l = resolve(em, operand_ids, &node_ids, lo);
-                let h = resolve(em, operand_ids, &node_ids, hi);
+                let l = resolve(em, operand_ids, node_ids, lo);
+                let h = resolve(em, operand_ids, node_ids, hi);
                 em.mux(sel, l, h)
             }
         };
         node_ids.push(id);
     }
-    resolve(em, operand_ids, &node_ids, kernel.result())
+    resolve(em, operand_ids, node_ids, result)
 }
 
 impl EvalPlan {
@@ -215,13 +279,16 @@ impl EvalPlan {
         for &o in net.outputs() {
             live[o] = true;
         }
+        let (mut num_live, mut live_luts) = (0usize, 0usize);
         for id in (0..nodes.len()).rev() {
             if !live[id] {
                 continue;
             }
+            num_live += 1;
             match &nodes[id] {
                 Node::Input { .. } | Node::Const { .. } => {}
                 Node::Lut { inputs, .. } => {
+                    live_luts += 1;
                     for &src in inputs {
                         live[src] = true;
                     }
@@ -233,15 +300,19 @@ impl EvalPlan {
                 }
             }
         }
-        let num_live = live.iter().filter(|&&l| l).count();
 
         // Emit the SSA stream. `loc_of[id]` is node id's value id after
         // alias/constant propagation, complement memoisation and CSE.
-        let mut em = Emitter::new();
-        let mut loc_of = vec![u32::MAX; nodes.len()];
-        let mut level_of = vec![0usize; nodes.len()];
+        // Kernel ops average well under 16 per live LUT on tree-shaped
+        // netlists; the CSE table grows if a netlist needs more.
+        let mut em = Emitter::with_capacity(16 * live_luts + num_live);
+        let mut kernels = KernelBuilder::new();
+        let mut operand_ids: Vec<u32> = Vec::new();
+        let mut node_ids: Vec<u32> = Vec::new();
+        let mut loc_of = vec![NO_ID; nodes.len()];
+        let mut level_of = vec![0u32; nodes.len()];
         let mut input_defs = Vec::new();
-        let mut logic_levels = 0usize;
+        let mut logic_levels = 0u32;
         for (id, node) in nodes.iter().enumerate() {
             if !live[id] {
                 continue;
@@ -261,9 +332,11 @@ impl EvalPlan {
                 }
                 Node::Lut { inputs, table } => {
                     level_of[id] = 1 + inputs.iter().map(|&s| level_of[s]).max().unwrap_or(0);
-                    let operand_ids: Vec<u32> = inputs.iter().map(|&s| loc_of[s]).collect();
-                    let kernel = LutKernel::compile(table);
-                    loc_of[id] = flatten_kernel(&mut em, &kernel, &operand_ids);
+                    operand_ids.clear();
+                    operand_ids.extend(inputs.iter().map(|&s| loc_of[s]));
+                    let result = kernels.compile(table);
+                    loc_of[id] =
+                        flatten_kernel(&mut em, kernels.ops(), result, &operand_ids, &mut node_ids);
                 }
             }
             logic_levels = logic_levels.max(level_of[id]);
@@ -292,7 +365,7 @@ impl EvalPlan {
             outputs: alloc.outputs,
             num_inputs: net.num_inputs(),
             num_vals: alloc.num_vals,
-            logic_levels,
+            logic_levels: logic_levels as usize,
             dead_nodes: nodes.len() - num_live,
             dead_ops: alloc.dead_ops,
             stats,
