@@ -26,7 +26,9 @@
 //! with `POETBIN_BENCH_QUICK=1`).
 //!
 //! Results land both on stdout and in `BENCH_engine.json` at the repo
-//! root (medians, machine-readable; see `poetbin_bench::report`).
+//! root (medians, machine-readable; see `poetbin_bench::report`), with a
+//! provenance block: quick or full mode, the large batch's example count,
+//! CPUs, the JIT rows' ISA tier and the git revision.
 //!
 //! Run with `cargo bench -p poetbin_bench --bench engine`.
 
@@ -34,6 +36,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
+use poetbin_bench::report::Provenance;
 use poetbin_bench::{hardware_classifier, DatasetKind};
 use poetbin_bits::FeatureMatrix;
 use poetbin_engine::{Backend, Engine, JitExecutor};
@@ -41,6 +44,27 @@ use poetbin_fpga::Netlist;
 
 fn quick() -> bool {
     std::env::var_os("POETBIN_BENCH_QUICK").is_some()
+}
+
+/// The widest vector tier the JIT rows ran on: the JIT picks AVX-512 for
+/// `B ∈ {4, 8}` when the CPU has it and SSE2 otherwise (`B = 1` always
+/// runs on general-purpose registers); `none` when the JIT fell back to
+/// the interpreter.
+fn isa_tier(jit: &Engine) -> &'static str {
+    if jit.backend_name() != "jit" {
+        return "none";
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            return "avx512";
+        }
+        "sse2"
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    "none"
 }
 
 /// Deterministic pseudo-random batch, `n × f`.
@@ -249,7 +273,8 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 
     let medians = criterion::take_recorded_medians();
-    match poetbin_bench::report::write_repo_root("engine", &medians) {
+    let provenance = Provenance::detect(quick(), n_large, isa_tier(&j8));
+    match poetbin_bench::report::write_repo_root("engine", Some(&provenance), &medians) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => panic!("failed to write BENCH_engine.json: {e}"),
     }

@@ -241,7 +241,7 @@ fn bench_train(c: &mut Criterion) {
     group.finish();
 
     let medians = criterion::take_recorded_medians();
-    match poetbin_bench::report::write_repo_root("train", &medians) {
+    match poetbin_bench::report::write_repo_root("train", None, &medians) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => panic!("failed to write BENCH_train.json: {e}"),
     }

@@ -9,11 +9,17 @@
 //! ```json
 //! {
 //!   "bench": "engine",
+//!   "provenance": {"mode": "full", "examples": 60000, "nproc": 2,
+//!                  "isa_tier": "avx512", "git_rev": "5df7001e…"},
 //!   "results": [
 //!     {"name": "engine_throughput/scalar_60k", "median_ns": 1222000000}
 //!   ]
 //! }
 //! ```
+//!
+//! The `provenance` block ([`Provenance`]) says how the medians were
+//! produced, so two artifacts are only compared like for like. Benches
+//! that do not record it yet omit the key.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -33,11 +39,82 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Renders `(name, median)` pairs as the `BENCH_*.json` document.
-pub fn render_json(bench: &str, entries: &[(String, Duration)]) -> String {
+/// How a bench run was produced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Provenance {
+    /// `quick` (the reduced CI size) or `full`.
+    pub mode: &'static str,
+    /// Examples in the largest timed batch.
+    pub examples: usize,
+    /// CPUs available to the process.
+    pub nproc: usize,
+    /// The widest instruction-set tier the timed code ran on.
+    pub isa_tier: &'static str,
+    /// The workspace's checked-out revision (see [`git_rev`]).
+    pub git_rev: String,
+}
+
+impl Provenance {
+    /// Provenance of a run in this process: `nproc` from
+    /// [`std::thread::available_parallelism`], the revision from the
+    /// workspace root's `.git`.
+    pub fn detect(quick: bool, examples: usize, isa_tier: &'static str) -> Provenance {
+        Provenance {
+            mode: if quick { "quick" } else { "full" },
+            examples,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            isa_tier,
+            git_rev: workspace_root().map_or_else(|_| "unknown".into(), |root| git_rev(&root)),
+        }
+    }
+
+    fn render(&self) -> String {
+        format!(
+            "{{\"mode\": \"{}\", \"examples\": {}, \"nproc\": {}, \"isa_tier\": \"{}\", \
+             \"git_rev\": \"{}\"}}",
+            self.mode,
+            self.examples,
+            self.nproc,
+            escape(self.isa_tier),
+            escape(&self.git_rev)
+        )
+    }
+}
+
+/// The revision checked out in the repository at `root`, read from its
+/// `.git` directory without running git, or `unknown`.
+pub fn git_rev(root: &Path) -> String {
+    let read = |p: &str| std::fs::read_to_string(root.join(".git").join(p)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(reference)
+        .map(|rev| rev.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find_map(|l| l.strip_suffix(reference).map(|rev| rev.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Renders `(name, median)` pairs as the `BENCH_*.json` document, with
+/// the provenance block when there is one.
+pub fn render_json(
+    bench: &str,
+    provenance: Option<&Provenance>,
+    entries: &[(String, Duration)],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench)));
+    if let Some(p) = provenance {
+        out.push_str(&format!("  \"provenance\": {},\n", p.render()));
+    }
     out.push_str("  \"results\": [\n");
     for (i, (name, median)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
@@ -93,10 +170,14 @@ pub fn workspace_root() -> io::Result<PathBuf> {
 /// # Errors
 ///
 /// Propagates root-resolution, file-creation and write failures.
-pub fn write_repo_root(bench: &str, entries: &[(String, Duration)]) -> io::Result<PathBuf> {
+pub fn write_repo_root(
+    bench: &str,
+    provenance: Option<&Provenance>,
+    entries: &[(String, Duration)],
+) -> io::Result<PathBuf> {
     let path = workspace_root()?.join(format!("BENCH_{bench}.json"));
     let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_json(bench, entries).as_bytes())?;
+    file.write_all(render_json(bench, provenance, entries).as_bytes())?;
     Ok(path)
 }
 
@@ -221,7 +302,8 @@ mod tests {
             ("group/fast".to_string(), Duration::from_nanos(1500)),
             ("group/\"odd\"".to_string(), Duration::from_micros(2)),
         ];
-        let json = render_json("engine", &entries);
+        let json = render_json("engine", None, &entries);
+        assert!(!json.contains("provenance"));
         assert!(json.contains("\"bench\": \"engine\""));
         assert!(json.contains("{\"name\": \"group/fast\", \"median_ns\": 1500},"));
         assert!(json.contains("{\"name\": \"group/\\\"odd\\\"\", \"median_ns\": 2000}\n"));
@@ -233,8 +315,49 @@ mod tests {
 
     #[test]
     fn renders_empty_result_list() {
-        let json = render_json("train", &[]);
+        let json = render_json("train", None, &[]);
         assert!(json.contains("\"results\": [\n  ]"));
+    }
+
+    #[test]
+    fn renders_provenance_block() {
+        let prov = Provenance {
+            mode: "quick",
+            examples: 4096,
+            nproc: 2,
+            isa_tier: "avx512",
+            git_rev: "abc123".into(),
+        };
+        let json = render_json(
+            "engine",
+            Some(&prov),
+            &[("g/x".into(), Duration::from_nanos(7))],
+        );
+        assert!(json.contains(
+            "  \"provenance\": {\"mode\": \"quick\", \"examples\": 4096, \"nproc\": 2, \
+             \"isa_tier\": \"avx512\", \"git_rev\": \"abc123\"},\n"
+        ));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn git_rev_resolves_loose_packed_and_detached_heads() {
+        let root = std::env::temp_dir().join(format!("poetbin_git_rev_{}", std::process::id()));
+        let git = root.join(".git");
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        assert_eq!(git_rev(&root.join("missing")), "unknown");
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        std::fs::write(
+            git.join("packed-refs"),
+            "# pack-refs\nfeed refs/heads/main\n",
+        )
+        .unwrap();
+        assert_eq!(git_rev(&root), "feed");
+        std::fs::write(git.join("refs/heads/main"), "beef\n").unwrap();
+        assert_eq!(git_rev(&root), "beef");
+        std::fs::write(git.join("HEAD"), "cafe\n").unwrap();
+        assert_eq!(git_rev(&root), "cafe");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

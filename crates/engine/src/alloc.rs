@@ -11,6 +11,12 @@
 //! slot (the hottest line in cache). Peak simultaneous liveness — not
 //! total definitions — bounds the blocked value array, which is what keeps
 //! it cache-resident.
+//!
+//! Both passes here run once per plan compile over tens of thousands of
+//! ops, so they work on flat per-op and per-id `u32` arrays sized once
+//! per call: no per-op allocation, no hashing. The allocator makes two
+//! sweeps over the tape — one reverse sweep that settles deadness and
+//! live ranges together, one forward sweep that assigns slots.
 
 use crate::ops::{TapeOp, NUM_KINDS};
 
@@ -21,28 +27,6 @@ pub(crate) const LOC_ONE: u32 = 1;
 
 /// Marks "none" in the dense per-id and per-op tables below.
 const NONE: u32 = u32::MAX;
-
-/// `op`'s distinct operand ids in ascending order, and how many there are.
-fn distinct_operands(op: &TapeOp) -> ([u32; 3], usize) {
-    let mut s = [op.a, op.b, op.c];
-    if s[0] > s[1] {
-        s.swap(0, 1);
-    }
-    if s[1] > s[2] {
-        s.swap(1, 2);
-    }
-    if s[0] > s[1] {
-        s.swap(0, 1);
-    }
-    let mut n = 1;
-    for j in 1..3 {
-        if s[j] != s[n - 1] {
-            s[n] = s[j];
-            n += 1;
-        }
-    }
-    (s, n)
-}
 
 /// Reorders an SSA op stream into long same-opcode runs (kind-run list
 /// scheduling).
@@ -60,9 +44,8 @@ fn distinct_operands(op: &TapeOp) -> ([u32; 3], usize) {
 /// hundred.
 ///
 /// Everything is flat arrays: each op's dependencies are found once, the
-/// consumer lists are one CSR array, and the per-kind ready queues are
-/// FIFOs carved out of one buffer (every op is readied exactly once, so a
-/// kind's queue never holds more than that kind's op count).
+/// consumer lists are one CSR array, and each per-kind ready queue is a
+/// vector with a read cursor.
 pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> {
     let n = ops.len();
     // `def_op[id]` = index of the op defining id, or NONE for inputs and
@@ -72,35 +55,28 @@ pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> 
         def_op[op.dst as usize] = i as u32;
     }
     // Each op's defining dependencies, found once: the ops computing its
-    // distinct operands (distinct operands have distinct definitions),
-    // NONE in the unused places. Counted into `edge_end[def]` — index
+    // operands, NONE for inputs, constants and repeats. Counted into `edge_end[def]` — index
     // `n + 1` soaks up the NONEs — then prefix-summed so `edge_end[def]`
     // is the end of def's range in the CSR consumer array.
     let mut deps = Vec::with_capacity(n);
     let mut indegree = Vec::with_capacity(n);
     let mut kind_of = Vec::with_capacity(n);
     let mut edge_end = vec![0u32; n + 2];
-    let mut per_kind = [0u32; NUM_KINDS];
     for op in ops {
-        let da = def_op[op.a as usize];
-        let db = if op.b != op.a {
-            def_op[op.b as usize]
-        } else {
+        // Equal operands share one definition, counted once.
+        let mut d = [op.a, op.b, op.c].map(|src| def_op[src as usize]);
+        d[1] = if d[1] == d[0] { NONE } else { d[1] };
+        d[2] = if d[2] == d[0] || d[2] == d[1] {
             NONE
-        };
-        let dc = if op.c != op.a && op.c != op.b {
-            def_op[op.c as usize]
         } else {
-            NONE
+            d[2]
         };
-        let d = [da, db, dc];
         for def in d {
             edge_end[def.min(n as u32 + 1) as usize] += 1;
         }
         deps.push(d);
         indegree.push(d.iter().map(|&def| u8::from(def != NONE)).sum::<u8>());
         kind_of.push(op.kind.index() as u8);
-        per_kind[op.kind.index()] += 1;
     }
     let mut total = 0;
     for e in &mut edge_end[..=n] {
@@ -122,53 +98,44 @@ pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> 
     }
     let edge_start = edge_end;
 
-    // Per-kind FIFOs: kind k owns `fifo[head[k]..]`, and
-    // `fifo[head[k]..tail[k]]` holds its ready ops in arrival order.
+    // Per-kind FIFOs: `ready[k][head[k]..]` holds kind k's ready ops in
+    // arrival order. Every op is readied exactly once, so a pop only
+    // advances `head[k]`.
+    let mut ready: [Vec<u32>; NUM_KINDS] = Default::default();
     let mut head = [0usize; NUM_KINDS];
-    let mut acc = 0;
-    for k in 0..NUM_KINDS {
-        head[k] = acc;
-        acc += per_kind[k] as usize;
-    }
-    let mut tail = head;
-    let mut fifo = vec![0u32; n];
     for i in 0..n {
         if indegree[i] == 0 {
-            let k = kind_of[i] as usize;
-            fifo[tail[k]] = i as u32;
-            tail[k] += 1;
+            ready[kind_of[i] as usize].push(i as u32);
         }
     }
-    let pick = |head: &[usize; NUM_KINDS], tail: &[usize; NUM_KINDS]| -> usize {
+    let pick = |ready: &[Vec<u32>; NUM_KINDS], head: &[usize; NUM_KINDS]| -> usize {
         let mut best = 0;
         for k in 1..NUM_KINDS {
-            if tail[k] - head[k] > tail[best] - head[best] {
+            if ready[k].len() - head[k] > ready[best].len() - head[best] {
                 best = k;
             }
         }
         best
     };
     let mut scheduled = Vec::with_capacity(n);
-    let mut current = pick(&head, &tail);
+    let mut current = pick(&ready, &head);
     while scheduled.len() < n {
         // Drain the current kind FIFO; ops readied mid-run of the same
         // kind join the run.
-        while head[current] < tail[current] {
-            let i = fifo[head[current]] as usize;
+        while head[current] < ready[current].len() {
+            let i = ready[current][head[current]] as usize;
             head[current] += 1;
             scheduled.push(ops[i]);
             let edges = edge_start[i] as usize..edge_start[i + 1] as usize;
             for &c in &consumers[edges] {
                 indegree[c as usize] -= 1;
                 if indegree[c as usize] == 0 {
-                    let k = kind_of[c as usize] as usize;
-                    fifo[tail[k]] = c;
-                    tail[k] += 1;
+                    ready[kind_of[c as usize] as usize].push(c);
                 }
             }
         }
         // Switch to the kind with the most ready ops.
-        current = pick(&head, &tail);
+        current = pick(&ready, &head);
     }
     scheduled
 }
@@ -263,12 +230,13 @@ pub(crate) fn allocate(
         );
         // Free dying operands before allocating the destination: reading
         // each lane strictly precedes writing it, so in-place reuse is
-        // sound even for the three-operand mux. Distinct operands only, so
-        // `x op x` cannot free one slot twice (double-allocation would
-        // alias two live values), in ascending id order.
-        let (sources, n) = distinct_operands(op);
-        for &src in &sources[..n] {
-            if src > 1 && last_use[src as usize] == i as u32 {
+        // sound even for the three-operand mux. Dedup so `x op x` cannot
+        // free one slot twice (double-allocation would alias two live
+        // values).
+        let mut sources = [op.a, op.b, op.c];
+        sources.sort_unstable();
+        for (j, &src) in sources.iter().enumerate() {
+            if src > 1 && (j == 0 || sources[j - 1] != src) && last_use[src as usize] == i as u32 {
                 free.push(slot_of[src as usize]);
             }
         }

@@ -57,55 +57,27 @@ pub(crate) struct KOp {
     pub(crate) hi: KRef,
 }
 
-/// One hashed memo entry; live only while `stamp` equals the builder's
-/// current generation. `tag` is the subtable width (4–6) for a content
-/// entry, `8 + sel` for a shape entry.
-#[derive(Clone, Copy)]
-struct Slot {
-    stamp: u32,
-    tag: u32,
-    key: u64,
-    value: KRef,
-}
+/// One memo entry, `(stamp, tag, key, value)`; live only while `stamp`
+/// equals the builder's current generation. `tag` is the subtable width
+/// (≤ 6) for a content entry, `8 + sel` for a shape entry.
+type Slot = (u32, u32, u64, KRef);
 
-const EMPTY: Slot = Slot {
-    stamp: 0,
-    tag: 0,
-    key: 0,
-    value: KRef::Zero,
-};
-
-/// Slots of the direct-mapped content memo: one per 2-input subtable
-/// (16), then one per 3-input subtable (256).
-const SMALL_SLOTS: usize = 16 + 256;
+const EMPTY: Slot = (0, 0, 0, KRef::Zero);
 
 /// Compiles truth tables into mux DAGs, one table at a time, reusing its
 /// buffers across tables. The memo holds a content entry per word-sized
 /// subtable (`(width, bits)`) and a shape entry per merge node
-/// (`(sel, lo, hi)`), both for the current table only. 2- and 3-input
-/// subtables, the most frequent, are few enough to index directly by
-/// their bits.
+/// (`(sel, lo, hi)`), both for the current table only.
+#[derive(Default)]
 pub(crate) struct KernelBuilder {
     ops: Vec<KOp>,
     memo: Vec<Slot>,
     /// `64 - log2(memo.len())`: multiplicative hashing keeps the top bits.
     shift: u32,
-    /// Direct-mapped content memo for widths 2 and 3: `(stamp, result)`.
-    small: [(u32, KRef); SMALL_SLOTS],
     generation: u32,
 }
 
 impl KernelBuilder {
-    pub(crate) fn new() -> KernelBuilder {
-        KernelBuilder {
-            ops: Vec::new(),
-            memo: Vec::new(),
-            shift: 64,
-            small: [(0, KRef::Zero); SMALL_SLOTS],
-            generation: 0,
-        }
-    }
-
     /// Compiles `table` and returns its result reference. The mux ops
     /// stay in [`KernelBuilder::ops`] until the next call.
     pub(crate) fn compile(&mut self, table: &TruthTable) -> KRef {
@@ -120,7 +92,6 @@ impl KernelBuilder {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.memo.fill(EMPTY);
-            self.small.fill((0, KRef::Zero));
             self.generation = 1;
         }
         self.ops.clear();
@@ -143,24 +114,15 @@ impl KernelBuilder {
         let h = (key ^ u64::from(tag).rotate_left(56)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut i = (h >> self.shift) as usize;
         loop {
-            let slot = &self.memo[i];
-            if slot.stamp != self.generation {
+            let (stamp, t, k, value) = self.memo[i];
+            if stamp != self.generation {
                 return (i, None);
             }
-            if slot.tag == tag && slot.key == key {
-                return (i, Some(slot.value));
+            if (t, k) == (tag, key) {
+                return (i, Some(value));
             }
             i = (i + 1) & mask;
         }
-    }
-
-    fn store(&mut self, at: usize, tag: u32, key: u64, value: KRef) {
-        self.memo[at] = Slot {
-            stamp: self.generation,
-            tag,
-            key,
-            value,
-        };
     }
 
     fn merge(&mut self, sel: u8, lo: KRef, hi: KRef) -> KRef {
@@ -183,7 +145,7 @@ impl KernelBuilder {
         }
         let r = KRef::Node(self.ops.len() as u32);
         self.ops.push(KOp { sel, lo, hi });
-        self.store(at, tag, key, r);
+        self.memo[at] = (self.generation, tag, key, r);
         r
     }
 
@@ -203,41 +165,21 @@ impl KernelBuilder {
             return KRef::One;
         }
         if width == 1 {
-            // `01` or `10`: the merge of two constants is a bare literal,
-            // never an op, so it is not worth a memo entry.
-            return if t == 0b10 {
-                KRef::Var(0)
-            } else {
-                KRef::NotVar(0)
-            };
-        }
-        let half = 1usize << (width - 1);
-        if width <= 3 {
-            let at = if width == 2 {
-                t as usize
-            } else {
-                16 + t as usize
-            };
-            let (stamp, r) = self.small[at];
-            if stamp == self.generation {
-                return r;
-            }
-            let lo = self.build_word(t, width - 1);
-            let hi = self.build_word(t >> half, width - 1);
-            let r = self.merge(width as u8 - 1, lo, hi);
-            self.small[at] = (self.generation, r);
-            return r;
+            // `0b01` is `!x0`, `0b10` is `x0`: a bare literal, never an op,
+            // so not worth a memo entry.
+            return [KRef::NotVar(0), KRef::Var(0)][(t >> 1) as usize];
         }
         let tag = width as u32;
         if let (_, Some(r)) = self.find(tag, t) {
             return r;
         }
+        let half = 1usize << (width - 1);
         let lo = self.build_word(t, width - 1);
         let hi = self.build_word(t >> half, width - 1);
         let r = self.merge(width as u8 - 1, lo, hi);
         // The recursion may have filled the slot the first probe found.
         let (at, _) = self.find(tag, t);
-        self.store(at, tag, t, r);
+        self.memo[at] = (self.generation, tag, t, r);
         r
     }
 
@@ -311,7 +253,7 @@ mod tests {
 
     /// [`check_with`] on a fresh builder; returns the op count.
     fn check_table(table: &TruthTable, case: &str) -> usize {
-        let mut builder = KernelBuilder::new();
+        let mut builder = KernelBuilder::default();
         check_with(&mut builder, table, case);
         builder.ops().len()
     }
@@ -369,7 +311,7 @@ mod tests {
     #[test]
     fn reused_builder_matches_fresh_builders() {
         let arities = [8usize, 0, 6, 2, 7, 6, 1, 8, 3, 6, 5, 0, 4, 7, 6, 6];
-        let mut reused = KernelBuilder::new();
+        let mut reused = KernelBuilder::default();
         for (n, &k) in arities.iter().enumerate() {
             // Alternate hashed tables with thresholds: thresholds repeat
             // the subtables a hashed table of the same width just stored.
@@ -380,7 +322,7 @@ mod tests {
             };
             let case = format!("table {n} (k={k})");
             let result = check_with(&mut reused, &table, &case);
-            let mut fresh = KernelBuilder::new();
+            let mut fresh = KernelBuilder::default();
             assert_eq!(result, fresh.compile(&table), "{case}: result");
             assert_eq!(reused.ops().len(), fresh.ops().len(), "{case}: op count");
             for (a, b) in reused.ops().iter().zip(fresh.ops()) {
@@ -391,7 +333,7 @@ mod tests {
 
     #[test]
     fn generation_wraparound_resets_the_memo() {
-        let mut builder = KernelBuilder::new();
+        let mut builder = KernelBuilder::default();
         let table = hashed_table(6, 9);
         check_with(&mut builder, &table, "before wrap");
         let expect = builder.ops().len();

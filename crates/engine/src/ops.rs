@@ -49,18 +49,9 @@ pub(crate) enum OpKind {
 pub(crate) const NUM_KINDS: usize = 8;
 
 impl OpKind {
-    /// Dense index for histograms.
+    /// Dense index for histograms: the declaration order.
     pub(crate) fn index(self) -> usize {
-        match self {
-            OpKind::And => 0,
-            OpKind::AndNot => 1,
-            OpKind::Or => 2,
-            OpKind::OrNot => 3,
-            OpKind::Xor => 4,
-            OpKind::Xnor => 5,
-            OpKind::Not => 6,
-            OpKind::Mux => 7,
-        }
+        self as usize
     }
 
     /// Display name, also used in [`OpStats`]' histogram.
@@ -125,7 +116,7 @@ impl OpStats {
     /// `(opcode name, count)` pairs in fixed histogram order, zero counts
     /// included.
     pub fn histogram(&self) -> Vec<(&'static str, usize)> {
-        const ORDER: [OpKind; NUM_KINDS] = [
+        [
             OpKind::And,
             OpKind::AndNot,
             OpKind::Or,
@@ -134,11 +125,10 @@ impl OpStats {
             OpKind::Xnor,
             OpKind::Not,
             OpKind::Mux,
-        ];
-        ORDER
-            .iter()
-            .map(|&k| (k.name(), self.counts[k.index()]))
-            .collect()
+        ]
+        .iter()
+        .map(|&k| (k.name(), self.counts[k.index()]))
+        .collect()
     }
 }
 

@@ -107,8 +107,7 @@ impl Emitter {
 
     /// The complement memo as a [`classify`] oracle.
     fn comp_of(&self, x: u32) -> Option<u32> {
-        let n = self.comp[x as usize];
-        (n != NO_ID).then_some(n)
+        Some(self.comp[x as usize]).filter(|&n| n != NO_ID)
     }
 
     /// The CSE slot holding op `(kind, a, b, c)`, or the empty slot where
@@ -117,31 +116,15 @@ impl Emitter {
         const K: u64 = 0x517c_c1b7_2722_0a95;
         let h = (u64::from(a) | u64::from(b) << 32).wrapping_mul(K);
         let h = (h.rotate_left(5) ^ (u64::from(c) << 8 | kind.index() as u64)).wrapping_mul(K);
-        let mask = self.cse.len() - 1;
         let mut i = (h >> self.cse_shift) as usize;
-        loop {
-            let entry = self.cse[i];
-            if entry == 0 {
-                return (i, None);
+        while let Some(op_index) = self.cse[i].checked_sub(1) {
+            let op = &self.ops[op_index as usize];
+            if (op.kind, op.a, op.b, op.c) == (kind, a, b, c) {
+                return (i, Some(op_index as usize));
             }
-            let op = &self.ops[entry as usize - 1];
-            if op.kind == kind && op.a == a && op.b == b && op.c == c {
-                return (i, Some(entry as usize - 1));
-            }
-            i = (i + 1) & mask;
+            i = (i + 1) & (self.cse.len() - 1);
         }
-    }
-
-    /// Doubles the CSE table and re-inserts every op.
-    fn grow_cse(&mut self) {
-        let slots = self.cse.len() * 2;
-        self.cse = vec![0; slots];
-        self.cse_shift = 64 - slots.trailing_zeros();
-        for i in 0..self.ops.len() {
-            let op = self.ops[i];
-            let (at, _) = self.cse_find(op.kind, op.a, op.b, op.c);
-            self.cse[at] = i as u32 + 1;
-        }
+        (i, None)
     }
 
     /// Emits one op (or returns the id of an identical earlier one).
@@ -159,7 +142,14 @@ impl Emitter {
             return self.ops[i].dst;
         }
         if 2 * (self.ops.len() + 1) > self.cse.len() {
-            self.grow_cse();
+            // Past half full: double the table and re-insert every op.
+            self.cse = vec![0; 2 * self.cse.len()];
+            self.cse_shift -= 1;
+            for i in 0..self.ops.len() {
+                let op = self.ops[i];
+                let (slot, _) = self.cse_find(op.kind, op.a, op.b, op.c);
+                self.cse[slot] = i as u32 + 1;
+            }
             at = self.cse_find(kind, a, b, c).0;
         }
         let dst = self.fresh_value();
@@ -306,7 +296,7 @@ impl EvalPlan {
         // Kernel ops average well under 16 per live LUT on tree-shaped
         // netlists; the CSE table grows if a netlist needs more.
         let mut em = Emitter::with_capacity(16 * live_luts + num_live);
-        let mut kernels = KernelBuilder::new();
+        let mut kernels = KernelBuilder::default();
         let mut operand_ids: Vec<u32> = Vec::new();
         let mut node_ids: Vec<u32> = Vec::new();
         let mut loc_of = vec![NO_ID; nodes.len()];
@@ -676,6 +666,24 @@ mod tests {
             .collect();
         b.set_outputs(outputs);
         b.finish()
+    }
+
+    #[test]
+    fn cse_table_grows_and_keeps_deduplicating() {
+        let mut em = Emitter::with_capacity(0);
+        let ids: Vec<u32> = (0..100).map(|_| em.fresh_value()).collect();
+        let first: Vec<u32> = ids
+            .windows(2)
+            .map(|w| em.push(OpKind::And, w[0], w[1], w[0]))
+            .collect();
+        assert!(em.cse.len() > 64, "99 ops must outgrow 64 slots");
+        // The same ops again, operands swapped (`and` commutes): all hits.
+        let again: Vec<u32> = ids
+            .windows(2)
+            .map(|w| em.push(OpKind::And, w[1], w[0], w[1]))
+            .collect();
+        assert_eq!(first, again);
+        assert_eq!(em.ops.len(), 99);
     }
 
     /// Pins the compiled plans byte for byte: the compiler may get

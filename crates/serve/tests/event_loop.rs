@@ -9,7 +9,6 @@ mod common;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -186,11 +185,14 @@ fn slow_reader_pauses_reads_and_stops_engine_work() {
     };
     let (server, engine) = start_test_server(73, f, config);
 
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
     // Clamp the client's kernel buffers too — otherwise its receive
-    // window absorbs tens of thousands of 15-byte responses.
-    epoll::set_socket_buffers(stream.as_raw_fd(), Some(sock_buf), Some(sock_buf)).expect("sockopt");
+    // window absorbs tens of thousands of 15-byte responses. Before
+    // `connect`: a clamp after the handshake comes too late for the
+    // window the client already advertised.
+    let mut stream =
+        epoll::connect_with_buffers(server.local_addr(), Some(sock_buf), Some(sock_buf))
+            .expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
     protocol::read_hello(&mut stream).expect("hello");
 
     let rows: Vec<BitVec> = (0..total).map(|i| test_row(f, 5, i)).collect();
