@@ -196,10 +196,13 @@ impl From<io::Error> for PersistError {
 /// The reflected CRC-32 polynomial of IEEE 802.3.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
-/// eight rounds of the polynomial, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight rounds of the polynomial, and
+/// `CRC32_TABLES[k][b]` the same followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+/// Built at compile time.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -212,20 +215,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             round += 1;
         }
-        table[b] = crc;
+        tables[0][b] = crc;
         b += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte slice — the per-section
 /// checksum of `POETBIN2`. Public so tests (and external tooling) can
-/// craft or re-seal section tables. One table lookup per byte instead of
-/// eight shift-and-xor rounds; the checksums are the same.
+/// craft or re-seal section tables. Table-driven, eight bytes per step
+/// (slicing-by-8); the checksums are those of the bitwise definition.
 pub fn section_crc(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -454,7 +481,7 @@ pub(crate) mod tests {
         let bytes: Vec<u8> = (0..4096u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
-        for len in [0, 1, 2, 3, 7, 8, 63, 64, 65, 1000, 4096] {
+        for len in [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 4096] {
             assert_eq!(
                 section_crc(&bytes[..len]),
                 bitwise(&bytes[..len]),

@@ -43,9 +43,11 @@ const NONE: u32 = u32::MAX;
 /// results; this one turns tens of thousands of dispatches into a few
 /// hundred.
 ///
-/// Everything is flat arrays: each op's dependencies are found once, the
-/// consumer lists are one CSR array, and each per-kind ready queue is a
-/// vector with a read cursor.
+/// Everything is flat arrays sized once per call — each op's
+/// dependencies are found once, the consumer lists are one CSR array and
+/// the per-kind ready queues are FIFOs carved out of one buffer — because
+/// on a paper-shaped netlist the fresh pages a compile touches cost about
+/// as much as the work done in them.
 pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> {
     let n = ops.len();
     // `def_op[id]` = index of the op defining id, or NONE for inputs and
@@ -54,88 +56,94 @@ pub(crate) fn schedule_kind_runs(ops: &[TapeOp], num_ids: usize) -> Vec<TapeOp> 
     for (i, op) in ops.iter().enumerate() {
         def_op[op.dst as usize] = i as u32;
     }
-    // Each op's defining dependencies, found once: the ops computing its
-    // operands, NONE for inputs, constants and repeats. Counted into `edge_end[def]` — index
-    // `n + 1` soaks up the NONEs — then prefix-summed so `edge_end[def]`
-    // is the end of def's range in the CSR consumer array.
-    let mut deps = Vec::with_capacity(n);
+    // Each op's dependencies, found once: the ops defining its operands,
+    // a repeated operand counted once, inputs and constants not at all.
+    // `deps` holds them op after op, `indegree[i]` of them for op i. They
+    // are also counted into `edge_start[def]`, then prefix-summed so it
+    // holds the end of def's range in the CSR consumer array.
+    let mut deps = Vec::with_capacity(3 * n);
     let mut indegree = Vec::with_capacity(n);
     let mut kind_of = Vec::with_capacity(n);
-    let mut edge_end = vec![0u32; n + 2];
+    let mut per_kind = [0usize; NUM_KINDS];
+    let mut edge_start = vec![0u32; n + 1];
     for op in ops {
-        // Equal operands share one definition, counted once.
-        let mut d = [op.a, op.b, op.c].map(|src| def_op[src as usize]);
-        d[1] = if d[1] == d[0] { NONE } else { d[1] };
-        d[2] = if d[2] == d[0] || d[2] == d[1] {
-            NONE
-        } else {
-            d[2]
-        };
-        for def in d {
-            edge_end[def.min(n as u32 + 1) as usize] += 1;
+        let before = deps.len();
+        for src in [op.a, op.b, op.c] {
+            let def = def_op[src as usize];
+            if def != NONE && !deps[before..].contains(&def) {
+                deps.push(def);
+                edge_start[def as usize] += 1;
+            }
         }
-        deps.push(d);
-        indegree.push(d.iter().map(|&def| u8::from(def != NONE)).sum::<u8>());
+        indegree.push((deps.len() - before) as u8);
         kind_of.push(op.kind.index() as u8);
+        per_kind[op.kind.index()] += 1;
     }
     let mut total = 0;
-    for e in &mut edge_end[..=n] {
+    for e in &mut edge_start {
         total += *e;
         *e = total;
     }
     // Filling each range from its back while walking the ops in reverse
-    // leaves every consumer list in ascending op order, and `edge_end[i]`
+    // leaves every consumer list in ascending op order, and `edge_start[i]`
     // at the start of op i's range (so op i's range is
-    // `edge_end[i]..edge_end[i + 1]`).
-    let mut consumers = vec![0u32; total as usize];
-    for (i, d) in deps.iter().enumerate().rev() {
-        for &def in d {
-            if def != NONE {
-                edge_end[def as usize] -= 1;
-                consumers[edge_end[def as usize] as usize] = i as u32;
-            }
+    // `edge_start[i]..edge_start[i + 1]`).
+    let mut consumers = vec![0u32; deps.len()];
+    let mut end = deps.len();
+    for i in (0..n).rev() {
+        let start = end - indegree[i] as usize;
+        for &def in &deps[start..end] {
+            edge_start[def as usize] -= 1;
+            consumers[edge_start[def as usize] as usize] = i as u32;
         }
+        end = start;
     }
-    let edge_start = edge_end;
 
-    // Per-kind FIFOs: `ready[k][head[k]..]` holds kind k's ready ops in
-    // arrival order. Every op is readied exactly once, so a pop only
-    // advances `head[k]`.
-    let mut ready: [Vec<u32>; NUM_KINDS] = Default::default();
+    // Per-kind FIFOs carved out of one buffer in kind order:
+    // `fifo[head[k]..tail[k]]` holds kind k's ready ops in arrival order
+    // (every op is readied exactly once, so a kind's FIFO never outgrows
+    // its op count). `def_op` is dead by now; its buffer is reused.
+    let mut fifo = def_op;
     let mut head = [0usize; NUM_KINDS];
+    for k in 1..NUM_KINDS {
+        head[k] = head[k - 1] + per_kind[k - 1];
+    }
+    let mut tail = head;
     for i in 0..n {
         if indegree[i] == 0 {
-            ready[kind_of[i] as usize].push(i as u32);
+            let k = kind_of[i] as usize;
+            fifo[tail[k]] = i as u32;
+            tail[k] += 1;
         }
     }
-    let pick = |ready: &[Vec<u32>; NUM_KINDS], head: &[usize; NUM_KINDS]| -> usize {
-        let mut best = 0;
-        for k in 1..NUM_KINDS {
-            if ready[k].len() - head[k] > ready[best].len() - head[best] {
-                best = k;
-            }
-        }
-        best
+    // The kind with the most ready ops, the lowest such kind on ties.
+    let pick = |head: &[usize; NUM_KINDS], tail: &[usize; NUM_KINDS]| {
+        (0..NUM_KINDS)
+            .rev()
+            .max_by_key(|&k| tail[k] - head[k])
+            .expect("NUM_KINDS > 0")
     };
     let mut scheduled = Vec::with_capacity(n);
-    let mut current = pick(&ready, &head);
+    let mut current = pick(&head, &tail);
     while scheduled.len() < n {
         // Drain the current kind FIFO; ops readied mid-run of the same
         // kind join the run.
-        while head[current] < ready[current].len() {
-            let i = ready[current][head[current]] as usize;
+        while head[current] < tail[current] {
+            let i = fifo[head[current]] as usize;
             head[current] += 1;
             scheduled.push(ops[i]);
             let edges = edge_start[i] as usize..edge_start[i + 1] as usize;
             for &c in &consumers[edges] {
                 indegree[c as usize] -= 1;
                 if indegree[c as usize] == 0 {
-                    ready[kind_of[c as usize] as usize].push(c);
+                    let k = kind_of[c as usize] as usize;
+                    fifo[tail[k]] = c;
+                    tail[k] += 1;
                 }
             }
         }
         // Switch to the kind with the most ready ops.
-        current = pick(&ready, &head);
+        current = pick(&head, &tail);
     }
     scheduled
 }
@@ -154,7 +162,8 @@ pub(crate) struct Allocation {
     pub(crate) dead_ops: usize,
 }
 
-/// Rewrites an SSA tape onto reusable physical slots.
+/// Rewrites an SSA tape onto reusable physical slots, in place: the
+/// returned [`Allocation::ops`] is `ops`' own buffer.
 ///
 /// `input_defs` is `(value id, primary-input index)` in definition order
 /// (conceptually defined before op 0); `output_ids` are read after the
@@ -162,7 +171,7 @@ pub(crate) struct Allocation {
 /// the constants and keep slots [`LOC_ZERO`]/[`LOC_ONE`]. Loads for inputs
 /// nothing reads are dropped along with dead ops.
 pub(crate) fn allocate(
-    ops: &[TapeOp],
+    mut ops: Vec<TapeOp>,
     input_defs: &[(u32, u32)],
     output_ids: &[u32],
     num_ids: usize,
@@ -216,8 +225,10 @@ pub(crate) fn allocate(
         input_loads.push((slot, feature));
     }
 
-    let mut remapped = Vec::with_capacity(ops.len() - dead_ops);
-    for (i, op) in ops.iter().enumerate() {
+    // Kept op `k` is written over op `i ≥ k`, which has been read already.
+    let mut kept = 0;
+    for i in 0..ops.len() {
+        let op = ops[i];
         if last_use[op.dst as usize] == NONE {
             continue;
         }
@@ -242,14 +253,10 @@ pub(crate) fn allocate(
         }
         let dst = alloc(&mut free);
         slot_of[op.dst as usize] = dst;
-        remapped.push(TapeOp {
-            kind: op.kind,
-            dst,
-            a,
-            b,
-            c,
-        });
+        ops[kept] = TapeOp { dst, a, b, c, ..op };
+        kept += 1;
     }
+    ops.truncate(kept);
 
     let outputs = output_ids
         .iter()
@@ -260,7 +267,7 @@ pub(crate) fn allocate(
         .collect();
 
     Allocation {
-        ops: remapped,
+        ops,
         input_loads,
         outputs,
         num_vals: next_slot as usize,
@@ -285,7 +292,7 @@ mod tests {
             op(OpKind::Not, 5, 2, 2, 2), // dead: nothing reads 5
             op(OpKind::Xor, 6, 4, 3, 4),
         ];
-        let a = allocate(&ops, &[(2, 0), (3, 1)], &[6], 7);
+        let a = allocate(ops, &[(2, 0), (3, 1)], &[6], 7);
         assert_eq!(a.dead_ops, 1);
         assert_eq!(a.ops.len(), 2);
         // Inputs take slots 2 and 3; the And result takes slot 4 (nothing
@@ -305,7 +312,7 @@ mod tests {
             op(OpKind::Not, 4, 3, 3, 3),
             op(OpKind::Or, 5, 4, 1, 4),
         ];
-        let a = allocate(&ops, &[(2, 0)], &[5], 6);
+        let a = allocate(ops, &[(2, 0)], &[5], 6);
         assert_eq!(a.dead_ops, 0);
         let slots: Vec<u32> = a.ops.iter().map(|o| o.dst).collect();
         // Each dst must differ from every slot still live at that point;
@@ -323,7 +330,7 @@ mod tests {
             op(OpKind::Not, 4, 3, 3, 3),
             op(OpKind::Not, 5, 4, 4, 4),
         ];
-        let a = allocate(&ops, &[(2, 0)], &[3, 5], 6);
+        let a = allocate(ops, &[(2, 0)], &[3, 5], 6);
         let s3 = a.ops[0].dst;
         // Neither later definition may reuse the output's slot.
         assert_ne!(a.ops[1].dst, s3);
@@ -335,14 +342,14 @@ mod tests {
     #[test]
     fn unused_input_loads_are_dropped() {
         let ops = vec![op(OpKind::Not, 4, 2, 2, 2)];
-        let a = allocate(&ops, &[(2, 0), (3, 1)], &[4], 5);
+        let a = allocate(ops, &[(2, 0), (3, 1)], &[4], 5);
         assert_eq!(a.input_loads.len(), 1);
         assert_eq!(a.input_loads[0].1, 0);
     }
 
     #[test]
     fn constant_output_maps_to_const_slot() {
-        let a = allocate(&[], &[(2, 0)], &[1, 0], 3);
+        let a = allocate(vec![], &[(2, 0)], &[1, 0], 3);
         assert_eq!(a.outputs, vec![LOC_ONE, LOC_ZERO]);
         assert!(a.input_loads.is_empty(), "unused input load kept");
     }

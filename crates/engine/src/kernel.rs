@@ -72,8 +72,6 @@ const EMPTY: Slot = (0, 0, 0, KRef::Zero);
 pub(crate) struct KernelBuilder {
     ops: Vec<KOp>,
     memo: Vec<Slot>,
-    /// `64 - log2(memo.len())`: multiplicative hashing keeps the top bits.
-    shift: u32,
     generation: u32,
 }
 
@@ -87,7 +85,6 @@ impl KernelBuilder {
         let want = 1usize << (k + 2);
         if self.memo.len() < want {
             self.memo = vec![EMPTY; want];
-            self.shift = 64 - want.trailing_zeros();
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -110,9 +107,9 @@ impl KernelBuilder {
     /// The memo slot holding `(tag, key)`, or the empty slot where it
     /// would go, with the stored value on a hit.
     fn find(&self, tag: u32, key: u64) -> (usize, Option<KRef>) {
-        let mask = self.memo.len() - 1;
         let h = (key ^ u64::from(tag).rotate_left(56)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut i = (h >> self.shift) as usize;
+        // Multiplicative hashing: the top log2(len) bits pick the slot.
+        let mut i = (h >> (64 - self.memo.len().trailing_zeros())) as usize;
         loop {
             let (stamp, t, k, value) = self.memo[i];
             if stamp != self.generation {
@@ -121,7 +118,7 @@ impl KernelBuilder {
             if (t, k) == (tag, key) {
                 return (i, Some(value));
             }
-            i = (i + 1) & mask;
+            i = (i + 1) & (self.memo.len() - 1);
         }
     }
 

@@ -79,8 +79,6 @@ struct Emitter {
     /// CSE table: open-addressed over `op index + 1` (0 = empty), keyed by
     /// the op's own `(kind, a, b, c)`, so it stores no keys of its own.
     cse: Vec<u32>,
-    /// `64 - log2(cse.len())`: multiplicative hashing keeps the top bits.
-    cse_shift: u32,
 }
 
 impl Emitter {
@@ -94,7 +92,6 @@ impl Emitter {
             next_id: 2,
             comp,
             cse: vec![0; slots],
-            cse_shift: 64 - slots.trailing_zeros(),
         }
     }
 
@@ -105,18 +102,14 @@ impl Emitter {
         v
     }
 
-    /// The complement memo as a [`classify`] oracle.
-    fn comp_of(&self, x: u32) -> Option<u32> {
-        Some(self.comp[x as usize]).filter(|&n| n != NO_ID)
-    }
-
     /// The CSE slot holding op `(kind, a, b, c)`, or the empty slot where
     /// it would go, with the op's index on a hit.
     fn cse_find(&self, kind: OpKind, a: u32, b: u32, c: u32) -> (usize, Option<usize>) {
         const K: u64 = 0x517c_c1b7_2722_0a95;
         let h = (u64::from(a) | u64::from(b) << 32).wrapping_mul(K);
         let h = (h.rotate_left(5) ^ (u64::from(c) << 8 | kind.index() as u64)).wrapping_mul(K);
-        let mut i = (h >> self.cse_shift) as usize;
+        // Multiplicative hashing: the top log2(len) bits pick the slot.
+        let mut i = (h >> (64 - self.cse.len().trailing_zeros())) as usize;
         while let Some(op_index) = self.cse[i].checked_sub(1) {
             let op = &self.ops[op_index as usize];
             if (op.kind, op.a, op.b, op.c) == (kind, a, b, c) {
@@ -144,7 +137,6 @@ impl Emitter {
         if 2 * (self.ops.len() + 1) > self.cse.len() {
             // Past half full: double the table and re-insert every op.
             self.cse = vec![0; 2 * self.cse.len()];
-            self.cse_shift -= 1;
             for i in 0..self.ops.len() {
                 let op = self.ops[i];
                 let (slot, _) = self.cse_find(op.kind, op.a, op.b, op.c);
@@ -172,15 +164,17 @@ impl Emitter {
         if x == ID_ONE {
             return ID_ZERO;
         }
-        if let Some(n) = self.comp_of(x) {
-            return n;
+        if self.comp[x as usize] != NO_ID {
+            return self.comp[x as usize];
         }
         self.push(OpKind::Not, x, x, x)
     }
 
     /// Emits the structural mux `sel ? hi : lo`, specialized.
     fn mux(&mut self, sel: u32, lo: u32, hi: u32) -> u32 {
-        match classify(sel, lo, hi, ID_ZERO, ID_ONE, |v| self.comp_of(v)) {
+        match classify(sel, lo, hi, ID_ZERO, ID_ONE, |v| {
+            Some(self.comp[v as usize]).filter(|&n| n != NO_ID)
+        }) {
             Classified::Alias(v) => v,
             // Route complements through the memo so a signal whose
             // complement already exists never gets a second `not`.
@@ -337,7 +331,7 @@ impl EvalPlan {
         // collapse onto reusable physical slots, bounded by peak liveness.
         let output_ids: Vec<u32> = net.outputs().iter().map(|&o| loc_of[o]).collect();
         let scheduled = schedule_kind_runs(&em.ops, em.next_id as usize);
-        let alloc = allocate(&scheduled, &input_defs, &output_ids, em.next_id as usize);
+        let alloc = allocate(scheduled, &input_defs, &output_ids, em.next_id as usize);
         let mut stats = OpStats::default();
         let mut segments: Vec<(OpKind, u32)> = Vec::new();
         for op in &alloc.ops {
