@@ -50,7 +50,7 @@ pub struct Provenance {
     pub nproc: usize,
     /// The widest instruction-set tier the timed code ran on.
     pub isa_tier: &'static str,
-    /// The workspace's checked-out revision (see [`git_rev`]).
+    /// The revision checked out at the workspace root, or `unknown`.
     pub git_rev: String,
 }
 
@@ -83,7 +83,7 @@ impl Provenance {
 
 /// The revision checked out in the repository at `root`, read from its
 /// `.git` directory without running git, or `unknown`.
-pub fn git_rev(root: &Path) -> String {
+fn git_rev(root: &Path) -> String {
     let read = |p: &str| std::fs::read_to_string(root.join(".git").join(p)).ok();
     let Some(head) = read("HEAD") else {
         return "unknown".into();

@@ -225,7 +225,7 @@ pub(crate) fn allocate(
         input_loads.push((slot, feature));
     }
 
-    // Kept op `k` is written over op `i ≥ k`, which has been read already.
+    // `ops[kept]` is overwritten only once op `i ≥ kept` has been read.
     let mut kept = 0;
     for i in 0..ops.len() {
         let op = ops[i];
